@@ -1,19 +1,18 @@
-"""Hot-path speed campaign benchmark: the PR's acceptance bars, measured.
+"""Hot-path benchmark: interpreter, decode, O3 scheduling, cold rewrite.
 
-Four quantities, each A/B'd in-process by flipping :mod:`repro.speed`
-(and clearing the relevant caches between arms so every "cold" number is
-genuinely cold):
+Four quantities (caches are cleared before every "cold" measurement):
 
-1. **Interpreter throughput** — a hot counted loop run by the legacy
-   per-instruction engine vs the threaded-dispatch trace engine;
-   the campaign bar is >= 3x ops/s.
+1. **Interpreter throughput** — ops/s of the threaded-dispatch IR
+   interpreter on a hot counted loop, whose result is checked against a
+   plain-Python evaluation of the same loop; bar: at least
+   ``MIN_INTERP_OPS_PER_S``.
 2. **Decode cost** — ns/instruction for a cold CFG discovery vs a
    decoded-trace cache hit on the same image.
 3. **O3 pass scheduling** — share of pipeline pass invocations skipped
    by the shape/version scheduler across representative kernels.
-4. **Cold end-to-end rewrite** — wall time of a cold ``llvm_fixed``
-   transform (fresh image, empty caches) with the campaign off vs on;
-   bar is >= 2x.
+4. **Cold end-to-end rewrite** — best wall time of a cold ``llvm_fixed``
+   transform (fresh image, empty caches); bar: at most
+   ``MAX_COLD_REWRITE_MS``.
 
 Standalone (CI): ``python bench_hotpath.py --quick --json
 BENCH_hotpath.json`` — exits nonzero if any bar is missed.
@@ -24,7 +23,6 @@ import gc
 import json
 import time
 
-from repro import speed
 from repro.cc import compile_c
 from repro.ir import (I64, Function, FunctionType, IRBuilder, Interpreter,
                       Module, verify)
@@ -34,13 +32,18 @@ from repro.jit import BinaryTransformer
 from repro.lift import FunctionSignature, LiftOptions, lift_function
 from repro.lift import blocks as blocks_mod
 
-MIN_INTERP_SPEEDUP = 3.0
-MIN_COLD_REWRITE_SPEEDUP = 2.0
+#: 3x the median ops/s (0.30 Mops/s) of a per-instruction dispatch
+#: interpreter on this loop, seven ``--quick`` runs on 2 vCPUs
+MIN_INTERP_OPS_PER_S = 0.90e6
+#: half the median best cold rewrite (56.8 ms) without decode caching,
+#: pass scheduling or batched phi substitution, same runs
+MAX_COLD_REWRITE_MS = 28.4
 MIN_DECODE_WARM_SPEEDUP = 5.0
+M64 = (1 << 64) - 1
 
 #: the cold-rewrite workload: phi-heavy after unrolling, so it exercises
-#: exactly the paths the campaign optimized (batched phi substitution,
-#: pass scheduling) the way the stencil kernels do
+#: batched phi substitution and pass scheduling the way the stencil
+#: kernels do
 REWRITE_SRC = """
 long stencil(long n, long c, long *v) {
   long acc = 0;
@@ -93,25 +96,32 @@ def _build_loop_fn(m: Module) -> Function:
     return f
 
 
+def _reference_loop(n: int) -> int:
+    """``_build_loop_fn`` evaluated in plain Python (i64 wraparound)."""
+    i = s = 0
+    while True:
+        sgn = s - (1 << 64) if s >> 63 else s
+        s = (s + (((i * 3 + 1) & M64) ^ ((sgn >> 1) & M64))) & M64
+        i += 1
+        if i >= n:
+            return s
+
+
 def bench_interp(iters: int) -> dict:
     m = Module("hotpath")
     f = _build_loop_fn(m)
-    out = {}
-    for label, threaded in (("legacy", False), ("threaded", True)):
-        _clear_hot_caches()
-        it = Interpreter(m, threaded=threaded)
-        it.max_steps = 1_000_000_000
-        it.run(f, [1000])  # warm-up (and trace compile for the threaded arm)
-        it.steps = 0
-        t0 = time.perf_counter()
-        result = it.run(f, [iters])
-        dt = time.perf_counter() - t0
-        out[label] = {"steps": it.steps, "seconds": round(dt, 4),
-                      "ops_per_s": round(it.steps / dt, 1), "result": result}
-    assert out["legacy"]["result"] == out["threaded"]["result"], \
-        "engine divergence on the benchmark loop"
-    out["speedup"] = round(out["threaded"]["ops_per_s"]
-                           / out["legacy"]["ops_per_s"], 2)
+    _clear_hot_caches()
+    it = Interpreter(m)
+    it.max_steps = 1_000_000_000
+    it.run(f, [1000])  # warm-up (and trace compile)
+    it.steps = 0
+    t0 = time.perf_counter()
+    result = it.run(f, [iters])
+    dt = time.perf_counter() - t0
+    assert result == _reference_loop(iters), \
+        "interpreter result differs from the plain-Python loop"
+    out = {"steps": it.steps, "seconds": round(dt, 4),
+           "ops_per_s": round(it.steps / dt, 1), "result": result}
     ts = interp_mod.trace_cache_stats()
     out["trace_cache"] = {k: ts[k] for k in
                           ("hits", "compiles", "invalidations")}
@@ -122,7 +132,6 @@ def bench_decode(rounds: int) -> dict:
     prog = compile_c(REWRITE_SRC)
     mem = prog.image.memory
     entry = prog.image.symbol("stencil")
-    speed.set_enabled(True)
     _clear_hot_caches()
     cfg = blocks_mod.discover(mem, entry)
     n_insns = cfg.instruction_count()
@@ -155,7 +164,6 @@ def bench_decode(rounds: int) -> dict:
 def bench_o3_skips() -> dict:
     from repro.ir.passes import schedule as sched_mod
 
-    speed.set_enabled(True)
     ran0 = sum(sched_mod.stats()["runs"].values())
     skipped = 0
     per_pass: dict[str, int] = {}
@@ -180,8 +188,7 @@ def bench_o3_skips() -> dict:
 
 
 def bench_cold_rewrite(rounds: int) -> dict:
-    def one(enabled: bool) -> float:
-        speed.set_enabled(enabled)
+    def one() -> float:
         _clear_hot_caches()
         prog = compile_c(REWRITE_SRC)  # fresh image: nothing warm survives
         bt = BinaryTransformer(prog.image)
@@ -190,15 +197,10 @@ def bench_cold_rewrite(rounds: int) -> dict:
                       {1: 7}, name="stencil.fix")
         return time.perf_counter() - t0
 
-    off = [one(False) for _ in range(rounds)]
-    on = [one(True) for _ in range(rounds)]
-    best_off, best_on = min(off), min(on)
+    times = [one() for _ in range(rounds)]
     return {
-        "off_ms": [round(t * 1e3, 1) for t in off],
-        "on_ms": [round(t * 1e3, 1) for t in on],
-        "best_off_ms": round(best_off * 1e3, 1),
-        "best_on_ms": round(best_on * 1e3, 1),
-        "speedup": round(best_off / best_on, 2),
+        "ms": [round(t * 1e3, 1) for t in times],
+        "best_ms": round(min(times) * 1e3, 1),
     }
 
 
@@ -211,12 +213,11 @@ def run_all(quick: bool) -> dict:
         "o3_schedule": bench_o3_skips(),
         "cold_rewrite": bench_cold_rewrite(rounds),
     }
-    speed.set_enabled(None)
     results["pass"] = {
-        "interp_speedup_3x":
-            results["interp"]["speedup"] >= MIN_INTERP_SPEEDUP,
-        "cold_rewrite_2x":
-            results["cold_rewrite"]["speedup"] >= MIN_COLD_REWRITE_SPEEDUP,
+        "interp_ops_floor":
+            results["interp"]["ops_per_s"] >= MIN_INTERP_OPS_PER_S,
+        "cold_rewrite_ceiling":
+            results["cold_rewrite"]["best_ms"] <= MAX_COLD_REWRITE_MS,
         "decode_trace_warm_speedup":
             results["decode"]["warm_speedup"] >= MIN_DECODE_WARM_SPEEDUP,
         "o3_passes_skipped": results["o3_schedule"]["skipped"] > 0,
@@ -227,16 +228,15 @@ def run_all(quick: bool) -> dict:
 def _report_lines(r: dict) -> list[str]:
     i, d, o, c = r["interp"], r["decode"], r["o3_schedule"], r["cold_rewrite"]
     return [
-        f"interp       {i['legacy']['ops_per_s'] / 1e6:.2f} -> "
-        f"{i['threaded']['ops_per_s'] / 1e6:.2f} Mops/s "
-        f"({i['speedup']:.1f}x, bar {MIN_INTERP_SPEEDUP:.0f}x)",
+        f"interp       {i['ops_per_s'] / 1e6:.2f} Mops/s "
+        f"(bar >= {MIN_INTERP_OPS_PER_S / 1e6:.2f})",
         f"decode       {d['cold_ns_per_insn']:.0f} -> "
         f"{d['warm_ns_per_insn']:.0f} ns/insn "
         f"({d['warm_speedup']:.0f}x warm, {d['instructions']} insns)",
         f"o3 schedule  {o['skipped']}/{o['considered']} pass runs skipped "
         f"({o['skip_rate']:.0%})",
-        f"cold rewrite {c['best_off_ms']:.1f} -> {c['best_on_ms']:.1f} ms "
-        f"({c['speedup']:.1f}x, bar {MIN_COLD_REWRITE_SPEEDUP:.0f}x)",
+        f"cold rewrite {c['best_ms']:.1f} ms "
+        f"(bar <= {MAX_COLD_REWRITE_MS:.1f})",
     ]
 
 

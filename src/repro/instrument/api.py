@@ -58,7 +58,7 @@ class InstrumentedFunction:
     module: Module
     plan: ProbePlan
     buffer: ProbeBuffer
-    gate_report: GateReport | None = None
+    gate_report: GateReport
     machine_verdict: str | None = None
     #: per-stage wall time: lift/opt/inject/pregate/codegen/verify/gate
     seconds: dict = field(default_factory=dict)
@@ -77,15 +77,13 @@ class Instrumenter:
                  o3_options: O3Options | None = None,
                  jit_options: JITOptions | None = None,
                  gate_options: GateOptions | None = None,
-                 machine_verify: bool = True,
-                 run_gate: bool = True) -> None:
+                 machine_verify: bool = True) -> None:
         self.image = image
         self.lift_options = lift_options or LiftOptions()
         self.o3_options = o3_options or O3Options.lightweight()
         self.jit_options = jit_options or JITOptions()
         self.gate_options = gate_options or GateOptions()
         self.machine_verify = machine_verify
-        self.run_gate = run_gate
 
     def instrument(self, func: str | int, signature: FunctionSignature,
                    *, options: InstrumentOptions | None = None,
@@ -162,21 +160,18 @@ class Instrumenter:
                     stage="machine-verify", name=out_name,
                     findings=tuple(report.findings))
 
-        gate_report = None
-        if self.run_gate:
-            t0 = time.perf_counter()
-            gate_opts = replace(
-                self.gate_options,
-                ignore_regions=self.gate_options.ignore_regions
-                + (buffer.extent(),))
-            gate = DifferentialGate(self.image, gate_opts)
-            if _TR.enabled:
-                with _TR.span("instrument.gate", {"name": out_name}):
-                    gate_report = gate.gate(entry, addr, signature,
-                                            None, probes)
-            else:
+        t0 = time.perf_counter()
+        gate_opts = replace(
+            self.gate_options,
+            ignore_regions=self.gate_options.ignore_regions
+            + (buffer.extent(),))
+        gate = DifferentialGate(self.image, gate_opts)
+        if _TR.enabled:
+            with _TR.span("instrument.gate", {"name": out_name}):
                 gate_report = gate.gate(entry, addr, signature, None, probes)
-            seconds["gate"] = time.perf_counter() - t0
+        else:
+            gate_report = gate.gate(entry, addr, signature, None, probes)
+        seconds["gate"] = time.perf_counter() - t0
 
         _metrics.counter("instrument.installs").inc()
         fam = _metrics.REGISTRY.family("instrument.probes")

@@ -41,12 +41,10 @@ class O3Options:
     #: ``-force-vector-width=2`` experiment (Sec. VI-B)
     force_vector_width: int = 0
     max_iterations: int = 8
-    #: pass-skipping policy (repro.ir.passes.schedule): "auto" resolves to
-    #: "static" (provable no-fire rules only, output-identical — safe to
-    #: share cache keys) unless REPRO_SPEED=0; "profile" additionally uses
-    #: learned fired-pass statistics and MAY change the produced IR, so it
-    #: is a distinct digest value; "off" disables all skipping
-    pass_schedule: str = "auto"
+    #: pass-skipping policy (repro.ir.passes.schedule): "static" skips only
+    #: provably no-fire applications, so its IR equals "off"'s, which runs
+    #: every pass; the two still digest to different cache keys
+    pass_schedule: str = "static"
 
     def replace(self, **kw) -> "O3Options":
         """A copy with the given fields changed.
@@ -94,7 +92,7 @@ class O3Report:
     rejected_passes: list[str] = field(default_factory=list)
     #: this run was executed under per-pass validation
     validated: bool = False
-    #: resolved schedule mode ("off" / "static" / "profile")
+    #: schedule mode the run used ("static" / "off")
     schedule_mode: str = "off"
     #: pass applications skipped by the scheduler, in skip order
     skipped_passes: list[str] = field(default_factory=list)
@@ -150,7 +148,7 @@ def run_o3(func: Function, options: O3Options = O3Options(),
         from repro.analysis.validate import PassValidator
         validator = PassValidator()
     report.validated = validator is not None
-    report.schedule_mode = schedule.resolve_mode(options.pass_schedule)
+    report.schedule_mode = options.pass_schedule
     sched = schedule.Scheduler(func, report.schedule_mode, validator)
 
     def step(name: str, thunk: Callable[[], Any],

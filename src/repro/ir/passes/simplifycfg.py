@@ -50,19 +50,15 @@ def _simplify_phis(func: Function) -> bool:
     Folding ``phi [X, A], [undef, B]`` to X is only legal when X dominates
     the phi (LLVM has the same restriction) — checked lazily.
 
-    With the speed campaign enabled, the per-phi RAUW (a full-function
-    operand scan *each*, quadratic on phi-heavy functions — unrolled loop
-    nests produce hundreds) is replaced by one batched substitution map
-    applied in a single walk at the end.  Scans resolve pending entries
-    through the map, so each decision sees exactly the IR the sequential
-    RAUWs would have produced and the output is bit-identical; the legacy
-    path survives under ``REPRO_SPEED=0`` as the differential reference.
+    Instead of a per-phi RAUW (a full-function operand scan *each*,
+    quadratic on phi-heavy functions — unrolled loop nests produce
+    hundreds), removals go into one substitution map applied in a single
+    walk at the end.  Scans resolve pending entries through the map, so
+    each decision sees exactly the IR sequential RAUWs would have produced.
     """
-    from repro import speed as _speed
     from repro.ir.instructions import Instruction
     from repro.ir.passes.cfgutils import dominates, dominators
 
-    batched = _speed.enabled()
     subst: dict[int, Value] = {}
 
     def resolve(v: Value) -> Value:
@@ -98,18 +94,11 @@ def _simplify_phis(func: Function) -> bool:
                             or def_blk is blk \
                             or not dominates(idom, def_blk, blk):
                         continue
-                if batched:
-                    subst[id(phi)] = repl
-                else:
-                    func.replace_all_uses(phi, repl)
+                subst[id(phi)] = repl
                 blk.instructions.remove(phi)
                 changed = True
             elif len(distinct) == 0 and phi.incoming_blocks:
-                repl = Undef(phi.type)
-                if batched:
-                    subst[id(phi)] = repl
-                else:
-                    func.replace_all_uses(phi, repl)
+                subst[id(phi)] = Undef(phi.type)
                 blk.instructions.remove(phi)
                 changed = True
     if subst:

@@ -166,11 +166,8 @@ def discover(memory: Memory, entry: int, *, max_instructions: int = 100_000,
     A decoded-trace cache hit charges nothing — same rule as the lift-stage
     facet cache, which likewise skips the work the budget meters.
     """
-    from repro import speed as _speed
-    token = None
-    if _speed.enabled():
-        token_fn = getattr(memory, "content_token_fn", None)
-        token = token_fn() if token_fn is not None else None
+    token_fn = getattr(memory, "content_token_fn", None)
+    token = token_fn() if token_fn is not None else None
     key = None
     if token is not None:
         key = (token, entry, max_instructions)

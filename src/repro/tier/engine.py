@@ -223,8 +223,8 @@ class TieredEngine:
         self._seq = itertools.count()
         self._closed = False
         #: set = run, cleared = throttle workers at their next checkpoint
-        self._run_gate = threading.Event()
-        self._run_gate.set()
+        self._running = threading.Event()
+        self._running.set()
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-tier")
 
@@ -358,7 +358,7 @@ class TieredEngine:
         inner = budget.yield_hook
 
         def hook() -> None:
-            self._run_gate.wait()
+            self._running.wait()
             if inner is not None:
                 inner()
 
@@ -390,7 +390,7 @@ class TieredEngine:
 
     def _run_job_impl(self, job: _Job) -> None:
         handle = job.handle
-        self._run_gate.wait()
+        self._running.wait()
         if handle.epoch != job.epoch or self._closed:
             with handle._cv:
                 handle.in_flight.discard(job.target)
@@ -684,14 +684,14 @@ class TieredEngine:
 
     def pause(self) -> None:
         """Throttle background compiles at their next budget checkpoint."""
-        self._run_gate.clear()
+        self._running.clear()
 
     def resume(self) -> None:
-        self._run_gate.set()
+        self._running.set()
 
     @property
     def paused(self) -> bool:
-        return not self._run_gate.is_set()
+        return not self._running.is_set()
 
     def drain(self, timeout: float | None = None) -> bool:
         """Block until no compile is queued or running; False on timeout."""

@@ -256,23 +256,3 @@ def test_pregate_is_interval_precise_not_just_syntactic():
     assert check_probe_ops(f, (lo, hi)) == []
     assert check_probe_ops(f, (lo, hi - 1))
 
-
-# -- pass-schedule fingerprints ----------------------------------------------
-
-
-def test_shape_class_separates_instrumented_bodies():
-    from repro.ir.passes.schedule import ShapeFingerprint
-
-    m = Module("t")
-    f = build_memfn(m)
-    plain_class = ShapeFingerprint(f).shape_class
-    img = Image()
-    plan = plan_probes(f, FULL)
-    buf = ProbeBuffer.allocate(img, plan)
-    inject_probes(f, plan, buf)
-    probed = ShapeFingerprint(f)
-    assert probed.nprobes > 0
-    assert probed.shape_class.endswith("P")
-    assert probed.shape_class != plain_class
-    strip_instrumentation(f)
-    assert ShapeFingerprint(f).shape_class == plain_class

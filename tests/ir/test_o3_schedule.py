@@ -1,6 +1,6 @@
-"""Profile-guided O3 scheduling: soundness of skips, validator interlock.
+"""O3 pass scheduling: soundness of skips, validator interlock.
 
-Three claims from the speed campaign:
+Three claims:
 
 1. Every static no-fire rule is *sound*: whenever the shape fingerprint
    says a pass cannot fire, actually running that pass reports no change
@@ -18,7 +18,6 @@ import pytest
 
 from repro.analysis.clone import clone_function, functions_structurally_equal
 from repro.analysis.validate import PassValidator
-from repro.cache.keys import options_digest
 from repro.ir import (
     I64, Function, FunctionType, IRBuilder, Interpreter, Module, verify,
 )
@@ -27,7 +26,7 @@ from repro.ir.passes import (
     simplifycfg, unroll, vectorize,
 )
 from repro.ir.passes.schedule import (
-    PASS_NAMES, Scheduler, ShapeFingerprint, _rule_no_fire, resolve_mode,
+    PASS_NAMES, Scheduler, ShapeFingerprint, _rule_no_fire,
 )
 
 #: how to actually run each schedulable pass, mirroring pipeline.step()
@@ -168,6 +167,11 @@ def test_static_output_identical_to_off():
     it_a, it_b = Interpreter(ma), Interpreter(mb)
     for n in (0, 1, 17):
         assert it_a.run(fa, [n]) == it_b.run(fb, [n])
+    assert O3Options().pass_schedule == "static"
+    for retired in ("auto", "profile"):
+        with pytest.raises(ValueError):
+            run_o3(build_loop(Module(retired)),
+                   O3Options(pass_schedule=retired))
 
 
 def test_second_sweep_skips_via_version_rule():
@@ -231,26 +235,3 @@ def test_miscompile_is_rejected_not_hidden(monkeypatch):
     r2 = run_o3(f2, O3Options(pass_schedule="static"), validator=validator)
     assert r2.schedule_disabled == "quarantined:gvn"
     assert r2.skipped_passes == []
-
-
-def test_resolve_mode_tracks_speed_switch():
-    from repro import speed
-
-    assert resolve_mode("static") == "static"
-    assert resolve_mode("off") == "off"
-    try:
-        speed.set_enabled(True)
-        assert resolve_mode("auto") == "static"
-        speed.set_enabled(False)
-        assert resolve_mode("auto") == "off"
-    finally:
-        speed.set_enabled(None)
-
-
-def test_profile_mode_is_digest_distinct():
-    """Learned skips may change IR, so "profile" must never share cache
-    entries with the output-identical modes."""
-    base = options_digest(O3Options())
-    assert options_digest(O3Options(pass_schedule="profile")) != base
-    # ... while "auto" IS the default and shares by construction
-    assert options_digest(O3Options(pass_schedule="auto")) == base
