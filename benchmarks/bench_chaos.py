@@ -28,14 +28,14 @@ import tempfile
 import time
 from concurrent.futures import Future
 
-from repro import FarmClient, FarmPool
+from repro import FarmClient, FarmPool, compile_c
 from repro.farm.health import CLOSED, OPEN, CircuitBreaker
-from repro.farm.protocol import CompileJob, CompileResult
-from repro.ir.codegen import JITOptions
-from repro.ir.passes import O3Options
+from repro.farm.protocol import CompileJob, CompileResult, make_job
 from repro.lift import FunctionSignature
 from repro.obs.metrics import MetricsRegistry
 from repro.testing.chaos import ChaosOptions, run_scenario, run_suite
+from repro.tier import T1
+from repro.tier.compile import tier_plan
 
 MIN_SCENARIOS = 25
 MAX_HANG_RECOVERY_HEARTBEATS = 2.0
@@ -148,13 +148,12 @@ class _ScriptedPool:
         pass
 
 
-def _stub_job() -> CompileJob:
-    return CompileJob(
-        key="k" * 32, name="bench.f", tier=1, func="f",
-        signature=FunctionSignature(("i",), "i"), fixes=None,
-        mem_regions=(), probes=(), dbrew_func=None, ladder=(),
-        image_key="farmimg-bench", lift=None,
-        o3=O3Options.lightweight(), jit=JITOptions())
+def _stub_job(client: FarmClient) -> CompileJob:
+    prog = compile_c("long f(long a) { return a; }")
+    o3, ladder = tier_plan(T1, None, ())
+    return make_job(prog.image, "bench.f", T1, "f",
+                    FunctionSignature(("i",), "i"), ladder=ladder,
+                    image_key=client.ensure_image(prog.image), o3=o3)
 
 
 def bench_breaker(threshold: int = 5) -> dict:
@@ -165,7 +164,7 @@ def bench_breaker(threshold: int = 5) -> dict:
                                      reset_timeout=2.0,
                                      clock=lambda: clock_t[0]),
         registry=MetricsRegistry())
-    job = _stub_job()
+    job = _stub_job(client)
     opened_after = None
     for n in range(1, threshold + 3):
         client.compile(job, timeout=1.0)

@@ -34,11 +34,10 @@ from concurrent.futures import ThreadPoolExecutor
 from repro import FarmClient, FarmPool, FunctionSignature, TieredEngine, \
     compile_c
 from repro.farm import protocol as fp
-from repro.guard.verify import GateOptions
-from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
 from repro.obs.metrics import MetricsRegistry
-from repro.tier import TierPolicy
+from repro.tier import T1, TierPolicy
+from repro.tier.compile import tier_plan
 
 MIN_SCALE_EFFICIENCY = 0.5   # thr_N >= 0.5 x min(N, cpus) x thr_1
 MIN_WARM_HIT_RATE = 1.0      # fresh pool, same store: all warm
@@ -61,30 +60,21 @@ def _jobs(prog, client, count):
     of fixation keys, what a line-kernel sweep produces) plus
     ``SIG_VARIANTS`` signature-variant re-lifts of the same bytes."""
     sig = FunctionSignature(("i", "i"), "i")
-    o3 = O3Options.lightweight().replace(enable_inline=True)
+    image_key = client.ensure_image(prog.image)
     jobs = []
     for k in range(count):
         fixes = {1: k + 3}
-        key = fp.compute_job_key(prog.image, "f", sig, fixes, (), (), 1,
-                                 (), None, None, o3, JITOptions(),
-                                 GateOptions())
-        jobs.append(fp.CompileJob(
-            key=key, name=f"f.storm{k}", tier=1, func="f", signature=sig,
-            fixes=fp.freeze_fixes(fixes), mem_regions=(), probes=(),
-            dbrew_func=None, ladder=(),
-            image_key=client.ensure_image(prog.image),
-            lift=fp.freeze_lift_options(None), o3=o3, jit=JITOptions()))
+        o3, ladder = tier_plan(T1, fixes, ())
+        jobs.append(fp.make_job(prog.image, f"f.storm{k}", T1, "f", sig,
+                                fixes, ladder=ladder, image_key=image_key,
+                                o3=o3))
+    # the variants keep the storm's inlining O3 (not the unfixed T1
+    # recipe) so only the signature separates their lift keys
+    o3 = O3Options.lightweight().replace(enable_inline=True)
     for extra in range(SIG_VARIANTS):
         sig_v = FunctionSignature(("i",) * (3 + extra), "i")
-        key = fp.compute_job_key(prog.image, "f", sig_v, None, (), (), 1,
-                                 (), None, None, o3, JITOptions(),
-                                 GateOptions())
-        jobs.append(fp.CompileJob(
-            key=key, name=f"f.sigv{extra}", tier=1, func="f",
-            signature=sig_v, fixes=None, mem_regions=(), probes=(),
-            dbrew_func=None, ladder=(),
-            image_key=client.ensure_image(prog.image),
-            lift=fp.freeze_lift_options(None), o3=o3, jit=JITOptions()))
+        jobs.append(fp.make_job(prog.image, f"f.sigv{extra}", T1, "f", sig_v,
+                                image_key=image_key, o3=o3))
     return jobs
 
 

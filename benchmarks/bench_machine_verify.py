@@ -29,9 +29,9 @@ from repro.cache import SpecializationCache
 from repro.farm import protocol as fp
 from repro.guard import GuardedTransformer
 from repro.guard.verify import GateOptions
-from repro.ir.codegen import JITOptions
-from repro.ir.passes import O3Options
 from repro.obs.metrics import MetricsRegistry
+from repro.tier import T1
+from repro.tier.compile import tier_plan
 
 MAX_COLD_OVERHEAD = 0.25   # verified cold compile vs bare cold compile
 MAX_WARM_OVERHEAD = 0.15   # verified warm hit vs bare warm hit
@@ -100,21 +100,16 @@ def run_warm(rounds: int = 60) -> dict:
 def run_farm_dedup(requests: int = 6, workers: int = 2) -> dict:
     """One job key submitted ``requests`` times: exactly one proof."""
     prog = compile_c(SRC)
-    o3 = O3Options.lightweight()
+    o3, ladder = tier_plan(T1, None, ())
     registry = MetricsRegistry()
     with tempfile.TemporaryDirectory() as disk:
         pool = FarmPool(workers=workers, disk_dir=disk, registry=registry)
         client = FarmClient(pool, timeout=600.0, registry=registry)
         try:
-            key = fp.compute_job_key(prog.image, "f", SIG, None, (), (), 1,
-                                     (), None, None, o3, JITOptions(),
-                                     GateOptions())
-            job = fp.CompileJob(
-                key=key, name="f.dedup", tier=1, func="f", signature=SIG,
-                fixes=None, mem_regions=(), probes=(), dbrew_func=None,
-                ladder=(), image_key=client.ensure_image(prog.image),
-                lift=fp.freeze_lift_options(None), o3=o3, jit=JITOptions(),
-                machine_verify=True)
+            job = fp.make_job(prog.image, "f.dedup", T1, "f", SIG,
+                              ladder=ladder,
+                              image_key=client.ensure_image(prog.image),
+                              o3=o3, machine_verify=True)
             results = [client.compile(job) for _ in range(requests)]
         finally:
             pool.close()

@@ -677,6 +677,18 @@ class Rewriter:
                                stage="rewrite", addr=ins.addr,
                                instruction=ins.mnemonic) from exc
 
+        # a result inside the sentinel window is a stack pointer only when a
+        # stack pointer flowed into it; a plain value that merely lands there
+        # (e.g. (0 - 1) >> 2 == VSP_BASE - 1) would be folded rsp-relative,
+        # so emit the instruction instead and track its result unknown
+        if not self._carries_stack_pointer(ins, state, mem_bytes):
+            if any(kind == "gp" and is_stack_address(cpu.gpr[idx])
+                   for kind, idx in info.writes):
+                return False
+            if memop is not None and info.mem_write and is_stack_address(
+                    int.from_bytes(tmp_mem.read(ea, memop.size), "little")):
+                return False
+
         for kind, idx in analyze(ins).writes:
             if kind == "gp":
                 if idx == RSP:
@@ -693,6 +705,27 @@ class Rewriter:
                              MetaValue.of(int.from_bytes(data, "little")))
         self.stats.emulated += 1
         return True
+
+    def _carries_stack_pointer(self, ins: Instruction, state: MetaState,
+                               mem_bytes: bytes | None) -> bool:
+        """Whether a rewrite-time stack pointer is among the instruction's
+        data inputs: a register operand (an address register counts only for
+        ``lea``) or the loaded memory value."""
+        if mem_bytes is not None and is_stack_address(
+                int.from_bytes(mem_bytes, "little")):
+            return True
+        address_only: set[int] = set()
+        if ins.mnemonic != "lea":
+            for op in ins.operands:
+                if isinstance(op, Mem):
+                    address_only.update(r.index for r in (op.base, op.index)
+                                        if r is not None)
+            for op in ins.operands:
+                if isinstance(op, Reg) and op.kind == "gp":
+                    address_only.discard(op.index)
+        return any(kind == "gp" and idx not in address_only
+                   and is_stack_address(state.gpr[idx].value)
+                   for kind, idx in analyze(ins).reads)
 
     # -- stack ops ----------------------------------------------------------------
 

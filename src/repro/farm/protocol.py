@@ -245,9 +245,6 @@ class CompileJob:
     #: output, it cannot change accepted code.
     machine_verify: bool = False
 
-    def thawed_fixes(self) -> dict[int, int | float | FixedMemory] | None:
-        return thaw_fixes(self.fixes)
-
 
 @dataclass(frozen=True)
 class CompileResult:
@@ -302,8 +299,7 @@ def compute_job_key(image: Image, func: str | int,
                     lift_options: LiftOptions | None,
                     o3: O3Options, jit: JITOptions,
                     gate: GateOptions,
-                    image_key: str | None = None,
-                    instrument: str | None = None) -> str | None:
+                    image_key: str | None = None) -> str | None:
     """Content identity of one farm job, or None when unkeyable.
 
     Built from the same ingredients as the staged cache keys (function
@@ -312,18 +308,11 @@ def compute_job_key(image: Image, func: str | int,
     probe vectors and gate configuration — two jobs that would gate
     differently must never collapse into one single-flight.
 
-    ``instrument`` is the :meth:`InstrumentOptions.digest` of an
-    instrumented job (None for plain compiles): an instrumented artifact
-    writes probe effects a plain one does not, so the two must stay
-    digest-distinct even when every other ingredient matches.
-
-    ``image_key`` folds the published :class:`ImageSpec`'s content key in
-    when given.  Shipped modules are position-dependent on the snapshot
-    the worker rebuilds (allocator cursors decide where worker-side
-    allocations land), so results computed against *different* snapshots
-    must never be served interchangeably under one key.  Identical images
-    produce identical spec keys, so legitimate cross-client sharing is
-    unaffected.
+    ``image_key`` folds the published :class:`ImageSpec`'s content key in:
+    shipped modules depend on the snapshot the worker rebuilds (allocator
+    cursors decide where worker-side allocations land), so results from
+    *different* snapshots never share a key, while identical images still
+    share one across clients.
 
     None (unknown function extent, unreadable fixed memory) means the farm
     cannot prove two requests identical, so the caller compiles locally.
@@ -353,8 +342,33 @@ def compute_job_key(image: Image, func: str | int,
         cache_keys.options_digest(o3), cache_keys.options_digest(jit),
         cache_keys.options_digest(gate),
         image_key or "-",
-        instrument or "-",
     )
+
+
+def make_job(image: Image, name: str, tier: int, func: str | int,
+             signature: FunctionSignature, fixes=None, mem_regions=(),
+             probes=(), dbrew_func: str | int | None = None,
+             ladder: tuple[str, ...] = (), *, image_key: str, o3: O3Options,
+             lift_options: LiftOptions | None = None,
+             jit: JITOptions | None = None, gate: GateOptions = GateOptions(),
+             budget: Budget | None = None, **bookkeeping) -> CompileJob | None:
+    """A :class:`CompileJob` keyed by :func:`compute_job_key` over the very
+    fields it stores — a job and its key cannot disagree — or None when
+    unkeyable.  ``bookkeeping`` passes the non-key fields (``epoch``,
+    ``seq``, ``trace``, ``parent_span_id``, ``machine_verify``) through.
+    """
+    jit = jit if jit is not None else JITOptions()
+    key = compute_job_key(image, func, signature, fixes, mem_regions, probes,
+                          tier, ladder, dbrew_func, lift_options, o3, jit,
+                          gate, image_key=image_key)
+    if key is None:
+        return None
+    return CompileJob(
+        key=key, name=name, tier=tier, func=func, signature=signature,
+        fixes=freeze_fixes(fixes), mem_regions=tuple(mem_regions),
+        probes=tuple(probes), dbrew_func=dbrew_func, ladder=tuple(ladder),
+        image_key=image_key, lift=freeze_lift_options(lift_options), o3=o3,
+        jit=jit, gate=gate, budget=freeze_budget(budget), **bookkeeping)
 
 
 def image_spec_key(digest: str) -> str:

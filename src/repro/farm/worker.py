@@ -17,23 +17,20 @@ push the result — with all the interesting parts in ``run_job``:
 3. **compile** — rebuild the client's image from its :class:`ImageSpec`
    (fresh per job: gate probes execute candidate code against the image
    and may mutate data/stack; a pristine rebuild per job keeps jobs
-   independent), run the same T1/T2 pipelines the tiered engine runs
-   locally, then pull the *pristine post-O3 module* back out of the
-   module-stage cache and publish it.  The worker's own codegen output is
-   throwaway — it exists so the T2 differential gate has machine code to
-   execute — because machine code is position-dependent and the client
-   must assemble into its own image.
+   independent), call :func:`~repro.tier.compile.compile_tier` — the very
+   recipe the tiered engine runs in-process — then pull the *pristine
+   post-O3 module* back out of the module-stage cache and publish it.
+   The worker's own codegen output is throwaway — it exists so the T2
+   differential gate has machine code to execute — because machine code
+   is position-dependent and the client must assemble into its own image.
 
-Failure mapping: :class:`~repro.errors.ReproError` is a content verdict
-(the client would hit the same wall) and comes back ``retryable=False``;
-anything else — missing image spec, unkeyed module, internal errors — is a
-farm deficiency and comes back ``retryable=True`` so the client compiles
-in-process.  One deliberate exception: a T2 degradation whose failures
-include a budget exhaustion is **not** published as a negative verdict.
-The budget is not part of the job key (two clients with different budgets
-share one key), so a verdict produced under a starved budget would poison
-the shared store for every well-budgeted client; it comes back retryable
-instead.
+Publication rule: every reject :func:`compile_tier` reports is a content
+verdict (the client would hit the same wall), published and returned
+``retryable=False`` — unless ``budget_starved``: the budget is not part of
+the job key, so a starved verdict would poison the shared store for every
+well-budgeted client.  That, and every farm deficiency — missing image
+spec, unkeyed module, internal errors — comes back ``retryable=True``,
+unpublished, so the client compiles in-process.
 
 Liveness: the worker runs a beat thread stamping a shared-memory heartbeat
 cell every ``heartbeat_interval``; the pool's watchdog reads it to tell a
@@ -50,17 +47,16 @@ import random
 import signal
 import threading
 import time
+from dataclasses import replace
 from typing import Any
 
 from repro.cache import DiskStore, FileFlightTable, SpecializationCache
-from repro.errors import BudgetExceededError, ReproError
 from repro.farm import protocol
 from repro.farm.protocol import CompileJob, CompileResult, ImageSpec
-from repro.guard import Budget, GuardedTransformer
-from repro.ir.passes import O3Options
+from repro.guard import Budget
 from repro.obs import metrics as _metrics
 from repro.obs.trace import TRACER as _TR
-from repro.tier.policy import T1
+from repro.tier.compile import compile_tier
 
 
 class _RecordingCache(SpecializationCache):
@@ -180,8 +176,7 @@ class FarmWorker:
             if span is not None:
                 _TR.finish(span)
         if job.trace:
-            result = _replace(result,
-                              trace_records=_TR.export_records(mark))
+            result = replace(result, trace_records=_TR.export_records(mark))
         return result
 
     def _run_job_inner(self, job: CompileJob, t0: float) -> CompileResult:
@@ -202,16 +197,8 @@ class FarmWorker:
             payload, leader = self.flights.run(
                 job.key, lambda: self._compile_and_publish(job, spec, rkey),
                 probe, timeout=self.flight_timeout)
-        except _BudgetStarved as exc:
+        except _Unpublished as exc:
             return self._fail(job, t0, str(exc), retryable=True)
-        except BudgetExceededError as exc:
-            # T1 analogue of _BudgetStarved: the budget is this job's, not
-            # the content's — let the client retry with its own budget
-            return self._fail(job, t0, f"budget exhausted worker-side: "
-                                       f"{exc}", retryable=True)
-        except ReproError as exc:
-            return self._fail(job, t0, f"{type(exc).__name__}: {exc}",
-                              retryable=False)
         except BaseException as exc:  # pragma: no cover - defensive
             return self._fail(job, t0, f"internal error: {exc!r}",
                               retryable=True)
@@ -221,98 +208,35 @@ class FarmWorker:
 
     def _compile_and_publish(self, job: CompileJob, spec: ImageSpec,
                              rkey: str) -> dict:
-        """The leader path: full pipeline in a fresh image, then publish.
-
-        Returns (and publishes) the shared payload dict; negative verdicts
-        (gate rejection, ladder exhaustion) are published too, so every
-        follower observes the same content-determined outcome without
-        re-running the pipeline — the cross-process analogue of the
-        negative cache.
-        """
-        image = spec.build()
-        budget = protocol.thaw_budget(job.budget) or Budget()
-        lift_options = protocol.thaw_lift_options(job.lift)
-        fixes = job.thawed_fixes()
-        o3 = job.o3 if job.o3 is not None else O3Options()
+        """The leader path: :func:`compile_tier` in a fresh image, then
+        the publication rule (module docstring) — a published reject is the
+        cross-process analogue of the negative cache."""
         self.cache.last_module_key = None
-
-        verdict: str | None = None
-        if job.tier == T1:
-            from repro.errors import VerificationError
-            from repro.jit import BinaryTransformer
-            budget.start()
-            tx = BinaryTransformer(
-                image, o3_options=o3, cache=self.cache, budget=budget,
-                lift_options=lift_options, jit_options=job.jit,
-                machine_verify=job.machine_verify)
-            try:
-                if fixes:
-                    res = tx.llvm_fixed(job.func, job.signature, fixes,
-                                        name=job.name)
-                    mode: str | None = "llvm-fix"
-                else:
-                    res = tx.llvm_identity(job.func, job.signature,
-                                           name=job.name)
-                    mode = "llvm"
-            except VerificationError as exc:
-                # machine-level refutation is content-determined: publish
-                # it so every follower/store hit observes the rejection
-                # without re-running the pipeline or the proof
-                payload = {"ok": False, "reject_reason": str(exc),
-                           "mode": None, "verified": False,
-                           "module": None, "main_name": None,
-                           "machine_verdict": "refuted"}
-                self.store.put(rkey, payload)
-                return payload
-            verdict = res.machine_verdict
-            verified = False
-            reject = None
-        else:
-            guard = GuardedTransformer(
-                image, cache=self.cache, budget=budget,
-                gate_options=job.gate, lift_options=lift_options,
-                o3_options=o3, jit_options=job.jit,
-                machine_verify=job.machine_verify)
-            gres = guard.transform(
-                job.func, job.signature, fixes,
-                mem_regions=job.mem_regions, name=job.name,
-                probes=job.probes, ladder=job.ladder or None,
-                dbrew_func=job.dbrew_func)
-            if gres.degraded:
-                reject = "; ".join(gres.failure_summary()) or "ladder degraded"
-                if any(a.error_type == "BudgetExceededError"
-                       for a in gres.attempts):
-                    # the budget is not part of the job key: a verdict
-                    # produced under a starved budget must not be published
-                    # for every well-budgeted client sharing this key
-                    raise _BudgetStarved(f"budget-starved degradation "
-                                         f"not published: {reject}")
-                if any(a.context.get("stage") == "machine-verify"
-                       for a in gres.attempts):
-                    verdict = "refuted"
-                payload = {"ok": False, "reject_reason": reject,
-                           "mode": None, "verified": False,
-                           "module": None, "main_name": None,
-                           "machine_verdict": verdict}
-                self.store.put(rkey, payload)
-                return payload
-            mode = gres.mode
-            verified = gres.verified or (gres.result is not None
-                                         and gres.result.machine_gated)
-            if gres.result is not None:
-                verdict = gres.result.machine_verdict
-            reject = None
-
-        mkey = self.cache.last_module_key
-        hit = self.cache.get_module(mkey) if mkey is not None else None
-        if hit is None:
-            # unkeyable function (no extent digest): nothing shippable —
-            # the client must compile locally; do not publish a verdict
-            raise _Unshippable("post-O3 module not in the module cache")
-        module, main_name = hit
-        payload = {"ok": True, "reject_reason": reject, "mode": mode,
-                   "verified": verified, "module": module,
-                   "main_name": main_name, "machine_verdict": verdict}
+        out = compile_tier(
+            spec.build(), job.tier, job.func, job.signature,
+            protocol.thaw_fixes(job.fixes), job.mem_regions, job.probes,
+            job.dbrew_func, name=job.name, o3=job.o3, ladder=job.ladder,
+            cache=self.cache,
+            budget=protocol.thaw_budget(job.budget) or Budget(),
+            lift_options=protocol.thaw_lift_options(job.lift),
+            jit_options=job.jit, gate_options=job.gate,
+            machine_verify=job.machine_verify)
+        if out.budget_starved:
+            raise _Unpublished(f"budget-starved rejection not published: "
+                               f"{out.reject}")
+        module = main_name = None
+        if out.reject is None:
+            mkey = self.cache.last_module_key
+            hit = self.cache.get_module(mkey) if mkey is not None else None
+            if hit is None:
+                # unkeyable function (no extent digest): nothing shippable
+                # — the client must compile locally; publish no verdict
+                raise _Unpublished("post-O3 module not in the module cache")
+            module, main_name = hit
+        payload = {"ok": out.reject is None, "reject_reason": out.reject,
+                   "mode": out.mode, "verified": out.verified,
+                   "module": module, "main_name": main_name,
+                   "machine_verdict": out.machine_verdict}
         self.store.put(rkey, payload)
         return payload
 
@@ -349,12 +273,9 @@ class FarmWorker:
         return stats
 
 
-class _Unshippable(Exception):
-    """Pipeline succeeded but produced nothing position-independent."""
-
-
-class _BudgetStarved(Exception):
-    """T2 degraded only because the budget ran out; verdict not publishable."""
+class _Unpublished(Exception):
+    """No publishable outcome (a starved budget, or nothing
+    position-independent to ship): the client compiles in-process."""
 
 
 def _beat_loop(cell: Any, interval: float, stop: threading.Event) -> None:
@@ -404,9 +325,6 @@ def worker_main(worker_id: int, job_q: Any, result_q: Any,
                 chaos.before_job(job)
             try:
                 result = worker.run_job(job)
-            except _Unshippable as exc:
-                result = worker._fail(job, time.perf_counter(), str(exc),
-                                      retryable=True)
             except BaseException as exc:  # pragma: no cover - defensive
                 result = worker._fail(job, time.perf_counter(),
                                       f"worker error: {exc!r}",
@@ -417,8 +335,3 @@ def worker_main(worker_id: int, job_q: Any, result_q: Any,
                 result_q.put(("result", result))
             except (EOFError, OSError):  # pragma: no cover - shutdown race
                 return
-
-
-def _replace(result: CompileResult, **changes: Any) -> CompileResult:
-    import dataclasses
-    return dataclasses.replace(result, **changes)

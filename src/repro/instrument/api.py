@@ -70,7 +70,11 @@ class InstrumentedFunction:
 
 
 class Instrumenter:
-    """Builds gate-verified instrumented copies of image functions."""
+    """Builds gate-verified instrumented copies of image functions.
+
+    ``lift_options.budget`` (when set) governs the whole build: lift and
+    O3 charge it, and codegen waits at its checkpoint.
+    """
 
     def __init__(self, image: Image, *,
                  lift_options: LiftOptions | None = None,
@@ -118,7 +122,7 @@ class Instrumenter:
         seconds["lift"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        run_o3(main, self.o3_options)
+        run_o3(main, self.o3_options, budget=self.lift_options.budget)
         seconds["opt"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -138,6 +142,8 @@ class Instrumenter:
                 f"{out_name!r}: " + "; ".join(f.format() for f in findings),
                 stage="instrument-pregate", findings=tuple(findings))
 
+        if self.lift_options.budget is not None:
+            self.lift_options.budget.checkpoint("codegen")
         t0 = time.perf_counter()
         jit = JITEngine(self.image, self.jit_options)
         addr = jit.compile_function(main, name=out_name)
@@ -146,19 +152,12 @@ class Instrumenter:
         verdict = None
         if self.machine_verify:
             t0 = time.perf_counter()
-            report = verify_emitted(jit, out_name)
-            seconds["machine_verify"] = time.perf_counter() - t0
-            verdict = report.verdict
-            if verdict == "refuted":
+            try:
+                verdict = verify_emitted(jit, out_name).verdict
+            except VerificationError:
                 _metrics.counter("instrument.machine.refuted").inc()
-                detail = "; ".join(
-                    f.format() for f in report.findings if f.is_error) \
-                    or "machine-level proof refuted"
-                raise VerificationError(
-                    f"machine verification refuted instrumented "
-                    f"{out_name!r}: {detail}",
-                    stage="machine-verify", name=out_name,
-                    findings=tuple(report.findings))
+                raise
+            seconds["machine_verify"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         gate_opts = replace(

@@ -84,10 +84,12 @@ def verify_emitted(jit: JITEngine, name: str):
     """Prove the function ``jit`` just emitted equivalent to its IR.
 
     Thin wrapper over :func:`repro.analysis.machine.verify_witness` that
-    feeds the ``machine.verify.*`` metrics counters.  Imported lazily so
-    transformers running without ``machine_verify`` never pay for the
-    verifier package.  A missing witness (backend hook disabled) is
-    *inconclusive*, not proved — nothing-to-check is not a proof.
+    feeds the ``machine.verify.*`` metrics counters and raises a refuted
+    proof as :class:`VerificationError` (``stage="machine-verify"``, the
+    report's ``findings`` attached).  Imported lazily so transformers
+    running without ``machine_verify`` never pay for the verifier package.
+    A missing witness (backend hook disabled) is *inconclusive*, not
+    proved — nothing-to-check is not a proof.
     """
     from repro.analysis import machine as M
 
@@ -99,6 +101,14 @@ def verify_emitted(jit: JITEngine, name: str):
     else:
         report = M.verify_witness(witness)
     _metrics.counter(f"machine.verify.{report.verdict}").inc()
+    if report.verdict == M.REFUTED:
+        detail = "; ".join(
+            f.format() for f in report.findings if f.is_error) \
+            or "machine-level proof refuted"
+        raise VerificationError(
+            f"machine verification refuted {name!r}: {detail}",
+            stage="machine-verify", name=name,
+            findings=tuple(report.findings))
     return report
 
 
@@ -225,18 +235,13 @@ class BinaryTransformer:
         t_cg = time.perf_counter() - t0
         if not self.machine_verify:
             return addr, t_cg, None, 0.0
-        report = verify_emitted(jit, out_name)
-        if report.verdict == "refuted":
-            detail = "; ".join(
-                f.format() for f in report.findings if f.is_error) \
-                or "machine-level proof refuted"
+        try:
+            report = verify_emitted(jit, out_name)
+        except VerificationError as exc:
             if self.cache is not None and xkey is not None:
                 self.cache.put_negative(
-                    f"machine:{xkey}", "machine-verify", detail)
-            raise VerificationError(
-                f"machine verification refuted {out_name!r}: {detail}",
-                stage="machine-verify", name=out_name,
-                findings=tuple(report.findings))
+                    f"machine:{xkey}", "machine-verify", exc.args[0])
+            raise
         return addr, t_cg, report.verdict, report.seconds
 
     def _transform(self, func: str | int, signature: FunctionSignature,
@@ -322,9 +327,8 @@ class BinaryTransformer:
             neg = cache.check_negative(f"machine:{xkey}")
             if neg is not None:
                 raise VerificationError(
-                    f"machine verification previously refuted {out_name!r}: "
-                    f"{neg.reason}", stage="machine-verify", name=out_name,
-                    quarantined=True)
+                    f"quarantined: {neg.reason}", stage="machine-verify",
+                    name=out_name, quarantined=True)
         if mkey is not None:
             assert cache is not None and xkey is not None
             hit = cache.get_module(mkey)

@@ -19,17 +19,9 @@ compile workers plus the dispatch table of registered
    consistently worse than a lower ready tier is demoted (with back-off,
    so it does not flap).
 
-Tier meanings (:mod:`repro.tier.policy`):
-
-* **T1** is the cheap rung: :class:`~repro.jit.BinaryTransformer` with
-  :meth:`O3Options.lightweight` — the paper's Sec. VII "small subset of
-  passes" proposal; with fixes it runs ``llvm-fix``, otherwise a plain
-  lift-and-regenerate.
-* **T2** is the full specialization: the
-  :class:`~repro.guard.GuardedTransformer` ladder (``dbrew+llvm`` when
-  there is anything to specialize) with the differential gate as
-  *admission control* — a rejected candidate pins the handle at its
-  current tier instead of ever serving unverified code.
+What T1 and T2 compile is the one recipe in :mod:`repro.tier.compile`,
+run in-process here or by a farm worker; a rejected candidate pins the
+handle at its current tier instead of ever serving unverified code.
 
 Worker compiles are *cooperative*: each job's
 :class:`~repro.guard.Budget` gets a yield hook that blocks on the
@@ -44,24 +36,25 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from repro.cache import SpecializationCache
 from repro.cpu.image import Image
 from repro.errors import ReproError
-from repro.guard import (
-    Budget, DifferentialGate, GateOptions, GuardedTransformer,
-)
-from repro.ir.codegen import JITOptions
+from repro.guard import Budget, DifferentialGate, GateOptions
+from repro.ir.codegen import JITEngine, JITOptions
 from repro.ir.passes import O3Options
-from repro.jit import BinaryTransformer, TransformResult
+from repro.jit import TransformResult
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
 from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.obs.trace import TRACER as _TR, Span
+from repro.tier.compile import TierOutcome, compile_tier, tier_plan
 from repro.tier.handle import DispatchHandle, TierCode
-from repro.tier.policy import NUM_TIERS, T1, T2, TierGovernor, TierPolicy
+from repro.tier.policy import (
+    NUM_TIERS, T1, EdgeProfile, TierGovernor, TierPolicy,
+)
 
 
 class TierStats:
@@ -401,23 +394,37 @@ class TieredEngine:
             return
 
         t0 = time.perf_counter()
-        addr = mode = reject_reason = None
-        verified = False
         out_name = f"{handle.name}.t{job.target}.e{job.epoch}.s{job.seq}"
         try:
-            farm_out = self._compile_farm(handle, job, out_name) \
-                if self.farm is not None else None
-            if farm_out is not None:
-                addr, mode, verified, reject_reason = farm_out
-            elif job.target == T1:
-                addr, mode = self._compile_t1(handle, out_name)
+            if job.target == T1 and self.profile == "edges" \
+                    and not handle.fixes:
+                # instrumented modules bake this image's probe-buffer
+                # address into their IR: never shippable to the farm
+                out = self._compile_t1_instrumented(handle, out_name)
             else:
-                addr, mode, verified, reject_reason = self._compile_t2(
-                    handle, out_name)
+                o3, ladder = tier_plan(job.target, handle.fixes,
+                                       handle.mem_regions, self.t2_o3_options)
+                out = self._compile_farm(handle, job, out_name, o3, ladder) \
+                    if self.farm is not None else None
+            if out is None:
+                out = compile_tier(
+                    self.image, job.target, handle.func, handle.signature,
+                    handle.fixes, handle.mem_regions, handle.probes,
+                    handle.dbrew_func, name=out_name, o3=o3, ladder=ladder,
+                    cache=self.cache, budget=self._job_budget(),
+                    lift_options=self.lift_options,
+                    jit_options=self.jit_options,
+                    gate_options=self.gate_options,
+                    machine_verify=self.machine_verify,
+                    registry=self.registry, on_result=self._note_result)
+            if job.target == T1 and out.reject is None:
+                # one gate site for local and farm T1 alike: an
+                # inconclusive proof costs this install a one-off gate
+                self._t1_machine_gate(handle, out.addr, out.machine_verdict)
         except ReproError as exc:
-            reject_reason = f"{type(exc).__name__}: {exc}"
+            out = TierOutcome(reject=f"{type(exc).__name__}: {exc}")
         except BaseException as exc:  # pragma: no cover - defensive
-            reject_reason = f"internal error: {exc!r}"
+            out = TierOutcome(reject=f"internal error: {exc!r}")
         seconds = time.perf_counter() - t0
 
         installed: TierCode | None = None
@@ -428,18 +435,18 @@ class TieredEngine:
                 if handle.epoch != job.epoch:
                     with self._lock:
                         self.stats.stale_discards += 1
-                elif reject_reason is not None or addr is None:
+                elif out.reject is not None or out.addr is None:
                     outcome = "reject"
                     handle.governor.on_reject(
-                        job.target, reject_reason or "no result")
+                        job.target, out.reject or "no result")
                     with self._lock:
                         self.stats.rejections[job.target] += 1
                 else:
                     outcome = "install"
                     handle._version += 1
-                    installed = TierCode(job.target, addr, out_name,
+                    installed = TierCode(job.target, out.addr, out_name,
                                          handle._version, job.epoch,
-                                         mode or "?", verified)
+                                         out.mode or "?", out.verified)
                     handle.codes[job.target] = installed
                     if job.target > handle._code.tier:
                         handle._code = installed
@@ -457,37 +464,23 @@ class TieredEngine:
             _TR.instant(f"tier.{outcome}",
                         {"handle": handle.name, "target": job.target,
                          "seconds": seconds,
-                         "reason": reject_reason})
+                         "reason": out.reject})
         if installed is not None and self.on_install is not None:
             self.on_install(handle, installed)
 
-    def _farm_pipeline_options(
-            self, handle: DispatchHandle,
-            target: int) -> tuple[O3Options, tuple[str, ...]]:
-        """The exact pipeline configuration the local tiers would use —
-        the farm must key and run the *same* work, or results would not be
-        interchangeable with the in-process fallback."""
-        if target == T1:
-            o3 = O3Options.lightweight()
-            if handle.fixes:
-                o3 = o3.replace(enable_inline=True)
-            return o3, ()
-        specializing = bool(handle.fixes) or bool(handle.mem_regions)
-        o3 = self.t2_o3_options if self.t2_o3_options is not None \
-            else O3Options()
-        return o3, ("dbrew+llvm",) if specializing else ("llvm",)
-
     def _compile_farm(self, handle: DispatchHandle, job: _Job, out_name: str,
-                      ) -> tuple[int | None, str | None, bool, str | None] | None:
+                      o3: O3Options, ladder: tuple[str, ...],
+                      ) -> TierOutcome | None:
         """Ship one compile to the farm; None means "compile in-process".
 
-        The worker returns a position-independent post-O3 module; the
-        engine runs the (cheap) code generation here, into its own image —
-        so a farm install costs the client one codegen, never a lift or an
-        O3 pipeline.  Every farm deficiency (unkeyable function, timeout,
-        dead pool, retryable result, open circuit breaker) falls back to
-        the local tiers; only a content-determined negative verdict is
-        surfaced as a rejection.
+        The worker runs the same :func:`compile_tier` with the same
+        :func:`tier_plan` recipe (``o3``, ``ladder``) and returns a
+        position-independent post-O3 module; the engine runs the (cheap)
+        code generation here, into its own image — so a farm install costs
+        the client one codegen, never a lift or an O3 pipeline.  Every farm
+        deficiency (unkeyable function, timeout, dead pool, retryable
+        result, open circuit breaker) falls back to the local tiers; only a
+        content-determined negative verdict is surfaced as a rejection.
         """
         from repro.farm import protocol as fp
         # breaker fast-skip: while the client's circuit is open, job-key
@@ -500,46 +493,27 @@ class TieredEngine:
                 self.stats.farm_fallbacks += 1
             return None
         target = job.target
-        if target == T1 and self.profile == "edges" and not handle.fixes:
-            # instrumented T1 modules bake this image's probe-buffer
-            # address into their IR — position-dependent by construction,
-            # so they are compiled in-process (the farm job key carries an
-            # instrument= component regardless, keeping instrumented and
-            # plain artifacts digest-distinct)
-            return None
-        o3, ladder = self._farm_pipeline_options(handle, target)
-        dbrew = handle.dbrew_func if target != T1 else None
-        jit = self.jit_options if self.jit_options is not None \
-            else JITOptions()
+        cur = _TR.current() if _TR.enabled else None
         # publish (or re-verify) the image snapshot *before* keying: the
         # job key folds the spec key in, so results computed against
         # different snapshots can never be served interchangeably
-        image_key = self.farm.ensure_image(self.image)
-        jkey = fp.compute_job_key(
-            self.image, handle.func, handle.signature, handle.fixes,
-            handle.mem_regions, handle.probes, target, ladder, dbrew,
-            self.lift_options, o3, jit, self.gate_options,
-            image_key=image_key)
-        if jkey is None:
+        cjob = fp.make_job(
+            self.image, out_name, target, handle.func, handle.signature,
+            handle.fixes, handle.mem_regions, handle.probes,
+            handle.dbrew_func if target != T1 else None, ladder,
+            image_key=self.farm.ensure_image(self.image), o3=o3,
+            lift_options=self.lift_options, jit=self.jit_options,
+            gate=self.gate_options,
+            budget=self.budget_factory() if self.budget_factory else None,
+            epoch=job.epoch, seq=job.seq, trace=_TR.enabled,
+            parent_span_id=cur.span_id if cur is not None else None,
+            machine_verify=self.machine_verify)
+        if cjob is None:
             with self._lock:
                 self.stats.farm_fallbacks += 1
             return None
         with self._lock:
             self.stats.farm_jobs += 1
-        budget = self.budget_factory() if self.budget_factory else None
-        cur = _TR.current() if _TR.enabled else None
-        cjob = fp.CompileJob(
-            key=jkey, name=out_name, tier=target, func=handle.func,
-            signature=handle.signature, fixes=fp.freeze_fixes(handle.fixes),
-            mem_regions=tuple(handle.mem_regions),
-            probes=tuple(handle.probes), dbrew_func=dbrew, ladder=ladder,
-            image_key=image_key,
-            lift=fp.freeze_lift_options(self.lift_options),
-            o3=o3, jit=jit, gate=self.gate_options,
-            budget=fp.freeze_budget(budget),
-            epoch=job.epoch, seq=job.seq, trace=_TR.enabled,
-            parent_span_id=cur.span_id if cur is not None else None,
-            machine_verify=self.machine_verify)
         res = self.farm.compile(cjob, timeout=self.farm_timeout)
         if res is None or (not res.ok and res.retryable):
             with self._lock:
@@ -553,53 +527,14 @@ class TieredEngine:
             if res.coalesced:
                 self.stats.farm_coalesced += 1
         if not res.ok:
-            return None, None, False, res.reject_reason or "farm rejection"
-        main = res.module.functions[res.main_name]
-        from repro.ir.codegen.jit import JITEngine
-        addr = JITEngine(self.image, jit).compile_function(
-            main, name=out_name)
-        if target == T1:
-            # the worker's proof covers its own emission; an inconclusive
-            # farm verdict means this client-side install must pass the
-            # one-off gate T1 would otherwise skip
-            self._t1_machine_gate(handle, addr, res.machine_verdict)
-        return addr, res.mode, res.verified, None
-
-    def _compile_t1(self, handle: DispatchHandle,
-                    out_name: str) -> tuple[int, str]:
-        """The cheap tier: lightweight pass subset, no gate.
-
-        T1 code is produced by the same lifter/codegen as everything else
-        and carries no fixation when the handle has none, so it is served
-        ungated — the differential gate is T2's admission control, where
-        specialization actually changes semantics-relevant structure.
-        """
-        budget = self._job_budget().start()
-        if self.profile == "edges" and not handle.fixes:
-            return self._compile_t1_instrumented(handle, out_name)
-        o3 = O3Options.lightweight()
-        if handle.fixes:
-            # the fixation wrapper calls the lifted original, which only
-            # exists inside the module — the inliner must collapse that
-            # call or codegen has no symbol to resolve it against
-            o3 = o3.replace(enable_inline=True)
-        tx = BinaryTransformer(
-            self.image, o3_options=o3,
-            cache=self.cache, budget=budget,
-            lift_options=self.lift_options, jit_options=self.jit_options,
-            machine_verify=self.machine_verify)
-        tx.on_result = self._note_result
-        if handle.fixes:
-            res = tx.llvm_fixed(handle.func, handle.signature, handle.fixes,
-                                name=out_name)
-            self._t1_machine_gate(handle, res.addr, res.machine_verdict)
-            return res.addr, "llvm-fix"
-        res = tx.llvm_identity(handle.func, handle.signature, name=out_name)
-        self._t1_machine_gate(handle, res.addr, res.machine_verdict)
-        return res.addr, "llvm"
+            return TierOutcome(reject=res.reject_reason or "farm rejection",
+                               machine_verdict=res.machine_verdict)
+        addr = JITEngine(self.image, cjob.jit).compile_function(
+            res.module.functions[res.main_name], name=out_name)
+        return TierOutcome(addr, res.mode, res.verified, res.machine_verdict)
 
     def _compile_t1_instrumented(self, handle: DispatchHandle,
-                                 out_name: str) -> tuple[int, str]:
+                                 out_name: str) -> TierOutcome:
         """Edge-profile T1: the cheap tier compiled with probes.
 
         The instrumenter runs the full boundary stack — probe-ops pregate,
@@ -610,22 +545,23 @@ class TieredEngine:
         matches plain T1's ungated trust level while still comparing every
         probe that *is* conclusive.  On success the handle's governor
         switches to the :class:`~repro.tier.EdgeProfile` source bound to
-        the fresh buffer, so promotion to T2 runs on block heat.
+        the fresh buffer, so promotion to T2 runs on block heat.  The job
+        budget rides in ``LiftOptions.budget``, so lift, O3 and ``pause()``
+        throttle this tier like every other.
 
         Instrumented artifacts never enter the specialization cache: the
         module bakes the buffer address in, so the install is unique to
         this buffer by construction.
         """
-        from dataclasses import replace as _dc_replace
-
         from repro.instrument import Instrumenter, InstrumentOptions
-        from repro.tier.policy import EdgeProfile
 
         gate_opts = self.gate_options
         if not handle.probes:
-            gate_opts = _dc_replace(gate_opts, min_conclusive=0)
+            gate_opts = replace(gate_opts, min_conclusive=0)
+        lift_options = replace(self.lift_options or LiftOptions(),
+                               budget=self._job_budget().start())
         inst = Instrumenter(
-            self.image, lift_options=self.lift_options,
+            self.image, lift_options=lift_options,
             jit_options=self.jit_options, gate_options=gate_opts,
             machine_verify=self.machine_verify)
         res = inst.instrument(
@@ -636,49 +572,17 @@ class TieredEngine:
         # a frozen buffer behind, which is safe — the governor takes
         # max(calls, heat), so a dead profile degrades to call counting
         handle.governor.profile = EdgeProfile(res.buffer)
-        return res.addr, "llvm+instr"
+        return TierOutcome(res.addr, "llvm+instr")
 
     def _t1_machine_gate(self, handle: DispatchHandle, addr: int,
                          verdict: str | None) -> None:
         """T1 normally installs ungated; an *inconclusive* machine proof
         downgrades that privilege to a mandatory one-off differential
-        gate.  (A refuted proof never reaches here — the transformer
-        raises before installation.)"""
-        if verdict != "inconclusive":
-            return
-        DifferentialGate(self.image, self.gate_options).gate(
-            handle.entry, addr, handle.signature, handle.fixes,
-            handle.probes)
-
-    def _compile_t2(self, handle: DispatchHandle, out_name: str,
-                    ) -> tuple[int | None, str | None, bool, str | None]:
-        """The full tier: guarded dbrew+llvm+O3 with gate admission.
-
-        The guard's own ladder is restricted to the strongest applicable
-        rung: T2 is *the* specialization tier, so a failure there must pin
-        the handle (reported as a rejection), not silently install a rung
-        the cheaper tiers already cover.
-        """
-        budget = self._job_budget()
-        guard = GuardedTransformer(
-            self.image, cache=self.cache, budget=budget,
-            gate_options=self.gate_options, lift_options=self.lift_options,
-            o3_options=self.t2_o3_options, jit_options=self.jit_options,
-            machine_verify=self.machine_verify, registry=self.registry)
-        guard.tx.on_result = self._note_result
-        specializing = bool(handle.fixes) or bool(handle.mem_regions)
-        ladder = ("dbrew+llvm",) if specializing else ("llvm",)
-        res = guard.transform(
-            handle.func, handle.signature, handle.fixes,
-            mem_regions=handle.mem_regions, name=out_name,
-            probes=handle.probes, ladder=ladder,
-            dbrew_func=handle.dbrew_func)
-        if res.degraded:
-            failures = "; ".join(res.failure_summary()) or "ladder degraded"
-            return None, None, False, failures
-        verified = res.verified or (res.result is not None
-                                    and res.result.machine_gated)
-        return res.addr, res.mode, verified, None
+        gate.  (A refuted proof never reaches here — it is a reject.)"""
+        if verdict == "inconclusive":
+            DifferentialGate(self.image, self.gate_options).gate(
+                handle.entry, addr, handle.signature, handle.fixes,
+                handle.probes)
 
     # -- scheduling controls -----------------------------------------------
 

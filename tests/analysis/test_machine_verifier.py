@@ -204,14 +204,14 @@ def test_transformer_off_by_default():
 
 
 def test_refuted_proof_quarantines_before_install(monkeypatch):
-    import repro.jit.engine as jit_engine
+    import repro.analysis.machine as machine
 
     prog = _program()
     cache = SpecializationCache()
     tx = BinaryTransformer(prog.image, cache=cache, machine_verify=True)
     monkeypatch.setattr(
-        jit_engine, "verify_emitted",
-        lambda jit, name: VerifyResult(verdict=REFUTED))
+        machine, "verify_witness",
+        lambda witness: VerifyResult(verdict=REFUTED))
     with pytest.raises(VerificationError) as exc:
         tx.llvm_identity("madd", _SIG)
     assert exc.value.context.get("stage") == "machine-verify"
@@ -230,14 +230,14 @@ def test_refuted_proof_quarantines_before_install(monkeypatch):
 
 
 def test_guard_counts_machine_rejections(monkeypatch):
-    import repro.jit.engine as jit_engine
+    import repro.analysis.machine as machine
 
     prog = _program()
     guard = GuardedTransformer(prog.image, cache=SpecializationCache(),
                                machine_verify=True)
     monkeypatch.setattr(
-        jit_engine, "verify_emitted",
-        lambda jit, name: VerifyResult(verdict=REFUTED))
+        machine, "verify_witness",
+        lambda witness: VerifyResult(verdict=REFUTED))
     res = guard.transform("madd", _SIG)
     assert res.degraded
     assert guard.stats.machine_rejections >= 1
@@ -272,11 +272,11 @@ def test_inconclusive_proof_forces_dynamic_gate(monkeypatch):
 
 def test_farm_protocol_carries_verdict():
     from repro.farm import protocol as fp
+    from repro.tier.compile import tier_plan
 
-    job = fp.CompileJob(
-        key="k", name="n", tier=1, func="f", signature=_SIG, fixes=None,
-        mem_regions=(), probes=(), dbrew_func=None, ladder=(),
-        image_key="img", lift=None, o3=None, jit=None)
+    o3, ladder = tier_plan(1, None, ())
+    job = fp.make_job(_program().image, "n", 1, "madd", _SIG, ladder=ladder,
+                      image_key="img", o3=o3)
     assert job.machine_verify is False
     res = fp.CompileResult(key="k", name="n", tier=1)
     assert res.machine_verdict is None

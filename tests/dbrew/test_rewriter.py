@@ -343,6 +343,31 @@ def test_fixed_value_in_vsp_sentinel_window_stays_a_value():
             sim.call_int("f", (colliding, b))
 
 
+@pytest.mark.parametrize("asm", [
+    # (0 - 1) >> 2 == VSP_BASE - 1: computed, not a stack pointer
+    "dec rdi\nshr rdi, 2\nmov rax, rdi\nadd rax, rsi\nret",
+    # the same value spilled to the stack and reloaded
+    "dec rdi\nshr rdi, 2\nmov [rsp-8], rdi\nmov rax, [rsp-8]\nadd rax, rsi\nret",
+], ids=["register", "spilled"])
+def test_computed_value_in_vsp_sentinel_window_stays_a_value(asm):
+    """Regression: emulation that *computes* a plain value inside the
+    sentinel window must not track it as a stack pointer (which would be
+    materialized as an rsp-relative lea)."""
+    from repro.x86 import parse_asm
+    from repro.x86.asm import assemble
+
+    img = Image()
+    code, _ = assemble(parse_asm(asm), base=img.next_code_addr())
+    img.add_function("f", code)
+    sim = Simulator(img)
+    r = Rewriter(img, "f").set_signature(("i", "i")).set_par(0, 0)
+    addr = r.rewrite(name="f_win")
+    assert addr != img.symbol("f")
+    sim.invalidate_code()
+    for b in (0, 1, 2**64 - 1):
+        assert sim.call("f_win", (12345, b)).rax == sim.call("f", (0, b)).rax
+
+
 def test_fixed_value_near_window_edges():
     """Both edges of the sentinel window and a just-outside value."""
     img, sim = compile_and_sim("long f(long a, long b) { return a ^ b; }")

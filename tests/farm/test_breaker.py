@@ -8,10 +8,11 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro import FarmClient, FarmPool
+from repro import FarmClient, FarmPool, compile_c
 from repro.farm.health import (CLOSED, HALF_OPEN, OPEN, CircuitBreaker)
 from repro.farm.protocol import CompileResult
 from repro.obs.metrics import MetricsRegistry
+from tests.farm.conftest import SRC
 from tests.farm.test_pool import _job_for
 
 
@@ -147,19 +148,6 @@ class _ScriptedPool:
         pass
 
 
-def _stub_job():
-    from repro.farm.protocol import CompileJob
-    from repro.ir.codegen import JITOptions
-    from repro.ir.passes import O3Options
-    from repro.lift import FunctionSignature
-    return CompileJob(
-        key="k" * 32, name="stub.f", tier=1, func="f",
-        signature=FunctionSignature(("i",), "i"), fixes=None,
-        mem_regions=(), probes=(), dbrew_func=None, ladder=(),
-        image_key="farmimg-stub", lift=None,
-        o3=O3Options.lightweight(), jit=JITOptions())
-
-
 def test_client_fast_fails_while_open_then_probe_restores_service():
     """The acceptance bar: the breaker opens within failure_threshold
     consecutive transport errors, open-state requests degrade without
@@ -171,7 +159,7 @@ def test_client_fast_fails_while_open_then_probe_restores_service():
     client = FarmClient(
         pool, breaker=CircuitBreaker(failure_threshold=3, reset_timeout=2.0,
                                      clock=clock), registry=reg)
-    job = _stub_job()
+    job = _job_for(compile_c(SRC), client, name="stub.f")
     for _ in range(3):
         assert client.compile(job, timeout=1.0) is None
     assert client.breaker.state == OPEN

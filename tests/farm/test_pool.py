@@ -8,29 +8,20 @@ import pytest
 
 from repro import FarmClient, FarmPool, Simulator, compile_c
 from repro.farm import protocol as fp
-from repro.guard.verify import GateOptions
 from repro.ir.codegen import JITOptions, JITEngine
-from repro.ir.passes import O3Options
-from repro.lift import FunctionSignature, LiftOptions
+from repro.lift import FunctionSignature
+from repro.tier import T1
+from repro.tier.compile import tier_plan
 from tests.farm.conftest import SRC, expected
 
 
-def _job_for(prog, client, *, fixes=None, tier=1, name="f.farm",
-             ladder=(), probes=(), trace=False):
-    o3 = O3Options.lightweight()
-    if fixes:
-        o3 = o3.replace(enable_inline=True)
-    sig = FunctionSignature(("i", "i"), "i")
-    key = fp.compute_job_key(prog.image, "f", sig, fixes, (), probes, tier,
-                             ladder, "f" if tier == 2 else None,
-                             None, o3, JITOptions(), GateOptions())
-    return fp.CompileJob(
-        key=key, name=name, tier=tier, func="f", signature=sig,
-        fixes=fp.freeze_fixes(fixes), mem_regions=(), probes=tuple(probes),
-        dbrew_func="f" if tier == 2 else None, ladder=ladder,
-        image_key=client.ensure_image(prog.image),
-        lift=fp.freeze_lift_options(None), o3=o3, jit=JITOptions(),
-        trace=trace)
+def _job_for(prog, client, *, fixes=None, name="f.farm"):
+    """The T1 job the tiered engine would ship for ``f`` under ``fixes``."""
+    o3, ladder = tier_plan(T1, fixes, ())
+    return fp.make_job(prog.image, name, T1, "f",
+                       FunctionSignature(("i", "i"), "i"), fixes,
+                       ladder=ladder, o3=o3,
+                       image_key=client.ensure_image(prog.image))
 
 
 @pytest.fixture()

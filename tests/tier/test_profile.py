@@ -6,7 +6,7 @@ heat read from an instrumented T1's probe buffer.  The contract under test:
 * a loopy kernel promotes on *iterations*, never later than call counting
   would promote it (the profile only accelerates, it cannot starve);
 * hysteresis still prevents flapping with a profile attached;
-* instrumented farm-job keys are digest-distinct from plain ones.
+* the instrumented T1 is charged the same job budget as the plain one.
 """
 
 from __future__ import annotations
@@ -137,27 +137,29 @@ def test_demotion_hysteresis_no_flap_with_hot_profile():
     assert gov.next_target(11, T0) == T1
 
 
-# -- digest-distinct cache/job keys ------------------------------------------
+# -- the job budget governs the instrumented T1 too ---------------------------
 
 
-def test_job_key_distinct_for_instrumented_compiles():
-    from repro.farm import protocol as fp
-    from repro.guard.verify import GateOptions
-    from repro.ir.codegen import JITOptions
-    from repro.ir.passes import O3Options
+def test_instrumented_t1_honours_the_job_budget():
+    """A budget too small to lift rejects T1 under both profile sources:
+    the instrumented compile is charged (and throttled by ``pause()``)
+    through the same job budget as the plain one."""
+    from repro.guard import Budget
 
     prog = compile_c("long f(long a, long b) { return a * b; }")
-    sig = FunctionSignature(("i", "i"), "i")
-    args = (prog.image, "f", sig, None, (), (), T1, ("llvm",), None,
-            None, O3Options.lightweight(), JITOptions(), GateOptions())
-    plain = fp.compute_job_key(*args)
-    instr = fp.compute_job_key(*args,
-                               instrument=InstrumentOptions().digest())
-    other = fp.compute_job_key(
-        *args, instrument=InstrumentOptions(trace_memory=True).digest())
-    assert plain is not None
-    assert len({plain, instr, other}) == 3, \
-        "instrumented jobs must never alias plain or differently-probed ones"
+    for profile in ("calls", "edges"):
+        with TieredEngine(
+                prog.image, profile=profile,
+                budget_factory=lambda: Budget(max_lift_instructions=1),
+                policy=TierPolicy(promote_calls=(2, 10**9))) as eng:
+            h = eng.register("f", FunctionSignature(("i", "i"), "i"))
+            for _ in range(3):
+                h.address()
+            assert eng.drain(60.0)
+            snap = eng.stats.snapshot()
+            assert snap["rejections"][T1] == 1, (profile, snap)
+            assert snap["installs"][T1] == 0, (profile, snap)
+            assert "BudgetExceededError" in h.governor.pin_reason
 
 
 # -- engine level: profile="edges" -------------------------------------------
