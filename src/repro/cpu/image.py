@@ -212,11 +212,6 @@ class Image:
                 cursor, self._probe_limit, size, align)
         return addr
 
-    @staticmethod
-    def probe_extent() -> tuple[int, int]:
-        """The [lo, hi) address range probe buffers live in."""
-        return (PROBE_BASE, PROBE_BASE + PROBE_SIZE)
-
     # -- symbols ----------------------------------------------------------------
 
     def symbol(self, name: str) -> int:

@@ -1,18 +1,20 @@
-"""The instrumenter: lift -> O3 -> inject -> JIT -> prove -> gate -> install.
+"""The instrumenter: optimize -> inject -> JIT -> prove -> gate -> install.
 
 Instrumentation is a *workload*, not a debug mode: an instrumented
 function flows through the same pipeline and the same trust boundaries
 as any specialization —
 
-1. lift the machine code to IR and optimize it (probes are injected
-   *after* O3 so they count the code that actually runs, and no pass can
-   move, merge or delete them);
+1. lift and optimize (:meth:`repro.jit.BinaryTransformer.optimize`), or
+   take a post-O3 function from a cache or farm
+   (:meth:`Instrumenter.install`); probes go in *after* O3 so they count
+   the code that actually runs, and no pass can move, merge or delete them;
 2. plan + allocate a :class:`~repro.instrument.buffer.ProbeBuffer` in the
    image's probe region and inject the tagged probe instructions;
 3. statically prove the probes effect-only
    (:func:`repro.analysis.probes.check_probe_ops`);
-4. JIT the instrumented module; with ``machine_verify`` the emitted bytes
-   are proven equivalent to the instrumented IR (probe stores included);
+4. JIT through :meth:`repro.jit.BinaryTransformer.codegen`; with
+   ``machine_verify`` the emitted bytes are proven equivalent to the
+   instrumented IR (probe stores included);
 5. differentially gate instrumented vs original execution under the
    effects-whitelist: identical return values, identical program memory,
    only the probe buffer may differ.
@@ -35,11 +37,13 @@ from repro.instrument.passes import (
     InstrumentOptions, ProbePlan, inject_probes, plan_probes,
 )
 from repro.ir import verify
-from repro.ir.codegen import JITEngine, JITOptions
+from repro.ir.codegen import JITOptions
 from repro.ir.module import Function, Module
-from repro.ir.passes import O3Options, run_o3
-from repro.jit.engine import verify_emitted
-from repro.lift import FunctionSignature, LiftOptions, lift_function
+# lift_function/run_o3 stay importable here: perfbench/spans.py patches them
+from repro.ir.passes import O3Options, run_o3  # noqa: F401
+from repro.jit.engine import BinaryTransformer
+from repro.lift import FunctionSignature, LiftOptions, lift_function  # noqa
+from repro.lift.fixation import FixedMemory
 from repro.obs import metrics as _metrics
 from repro.obs.trace import TRACER as _TR
 
@@ -83,11 +87,13 @@ class Instrumenter:
                  gate_options: GateOptions | None = None,
                  machine_verify: bool = True) -> None:
         self.image = image
-        self.lift_options = lift_options or LiftOptions()
-        self.o3_options = o3_options or O3Options.lightweight()
-        self.jit_options = jit_options or JITOptions()
+        lift_options = lift_options or LiftOptions()
+        #: lift + O3 before injection, codegen + machine proof after it
+        self.tx = BinaryTransformer(
+            image, lift_options=lift_options, jit_options=jit_options,
+            o3_options=o3_options or O3Options.lightweight(),
+            budget=lift_options.budget, machine_verify=machine_verify)
         self.gate_options = gate_options or GateOptions()
-        self.machine_verify = machine_verify
 
     def instrument(self, func: str | int, signature: FunctionSignature,
                    *, options: InstrumentOptions | None = None,
@@ -102,29 +108,22 @@ class Instrumenter:
         entry = self.image.symbol(func) if isinstance(func, str) else func
         out_name = name or (f"{func}.instr" if isinstance(func, str)
                             else f"fn_{entry:#x}.instr")
-        if not _TR.enabled:
-            return self._instrument(entry, signature, options, probes,
-                                    out_name)
         with _TR.span("instrument.apply", {"name": out_name,
                                            "options": options.digest()}):
-            return self._instrument(entry, signature, options, probes,
-                                    out_name)
+            res = self.tx.optimize(entry, signature, name=out_name)
+            out = self.install(res.function, entry, signature,
+                               options=options, probes=probes, name=out_name)
+        out.seconds.update(lift=res.lift_seconds, opt=res.optimize_seconds)
+        return out
 
-    def _instrument(self, entry: int, signature: FunctionSignature,
-                    options: InstrumentOptions, probes: tuple,
-                    out_name: str) -> InstrumentedFunction:
+    def install(self, main: Function, entry: int,
+                signature: FunctionSignature, *,
+                fixes: dict[int, int | float | FixedMemory] | None = None,
+                options: InstrumentOptions, probes: tuple = (),
+                name: str) -> InstrumentedFunction:
+        """Instrument and install ``main``, the already-optimized function
+        at ``entry`` under ``fixes`` (rewritten in place)."""
         seconds: dict = {}
-        t0 = time.perf_counter()
-        module = Module(f"instr_{out_name}")
-        opts = replace(self.lift_options, name=out_name)
-        main = lift_function(self.image.memory, entry, signature, opts,
-                             module)
-        seconds["lift"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        run_o3(main, self.o3_options, budget=self.lift_options.budget)
-        seconds["opt"] = time.perf_counter() - t0
-
         t0 = time.perf_counter()
         plan = plan_probes(main, options)
         buffer = ProbeBuffer.allocate(self.image, plan)
@@ -139,37 +138,24 @@ class Instrumenter:
             _metrics.counter("instrument.pregate.rejected").inc()
             raise VerificationError(
                 "probe-ops pregate rejected instrumented "
-                f"{out_name!r}: " + "; ".join(f.format() for f in findings),
+                f"{name!r}: " + "; ".join(f.format() for f in findings),
                 stage="instrument-pregate", findings=tuple(findings))
 
-        if self.lift_options.budget is not None:
-            self.lift_options.budget.checkpoint("codegen")
-        t0 = time.perf_counter()
-        jit = JITEngine(self.image, self.jit_options)
-        addr = jit.compile_function(main, name=out_name)
-        seconds["codegen"] = time.perf_counter() - t0
-
-        verdict = None
-        if self.machine_verify:
-            t0 = time.perf_counter()
-            try:
-                verdict = verify_emitted(jit, out_name).verdict
-            except VerificationError:
-                _metrics.counter("instrument.machine.refuted").inc()
-                raise
-            seconds["machine_verify"] = time.perf_counter() - t0
+        try:
+            addr, seconds["codegen"], verdict, t_mv = self.tx.codegen(
+                main, name)
+        except VerificationError:  # only the machine proof raises here
+            _metrics.counter("instrument.machine.refuted").inc()
+            raise
+        if verdict is not None:
+            seconds["machine_verify"] = t_mv
 
         t0 = time.perf_counter()
-        gate_opts = replace(
-            self.gate_options,
-            ignore_regions=self.gate_options.ignore_regions
-            + (buffer.extent(),))
-        gate = DifferentialGate(self.image, gate_opts)
-        if _TR.enabled:
-            with _TR.span("instrument.gate", {"name": out_name}):
-                gate_report = gate.gate(entry, addr, signature, None, probes)
-        else:
-            gate_report = gate.gate(entry, addr, signature, None, probes)
+        gate = DifferentialGate(self.image, replace(
+            self.gate_options, ignore_regions=(
+                *self.gate_options.ignore_regions, buffer.extent())))
+        with _TR.span("instrument.gate", {"name": name}):
+            gate_report = gate.gate(entry, addr, signature, fixes, probes)
         seconds["gate"] = time.perf_counter() - t0
 
         _metrics.counter("instrument.installs").inc()
@@ -181,9 +167,9 @@ class Instrumenter:
         fam.inc("mem", len(plan.mem_sites))
         fam.inc("watch", len(plan.watch_sites))
         return InstrumentedFunction(
-            name=out_name, addr=addr, source=entry, signature=signature,
-            options=options, function=main, module=module, plan=plan,
-            buffer=buffer, gate_report=gate_report,
+            name=name, addr=addr, source=entry, signature=signature,
+            options=options, function=main, module=main.module,
+            plan=plan, buffer=buffer, gate_report=gate_report,
             machine_verdict=verdict, seconds=seconds)
 
 

@@ -63,8 +63,8 @@ class InstrumentOptions:
     ring_capacity: int = 256
 
     def digest(self) -> str:
-        """Stable component for cache/job keys — instrumented artifacts
-        must never alias uninstrumented ones (or differently-probed ones)."""
+        """Stable label of this probe configuration (trace attributes);
+        no key component — probes go in after every cache stage."""
         return (f"instr:e{int(self.edge_counters)}c{int(self.call_counter)}"
                 f"m{int(self.trace_memory)}w{int(self.watch_returns)}"
                 f"r{self.ring_capacity}")

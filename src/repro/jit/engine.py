@@ -11,8 +11,8 @@ Each public method implements one evaluation mode of Sec. VI:
 * DBrew alone is :class:`repro.dbrew.Rewriter` (mode "DBrew");
 * :meth:`llvm_identity` applied to a rewritten function gives "DBrew+LLVM".
 
-All methods return a :class:`TransformResult` carrying the new entry
-address and wall-clock compile-time stages for Fig. 10.
+Each returns a :class:`TransformResult` (entry address, Fig. 10 stage
+times); :meth:`optimize` + :meth:`codegen` are the same pipeline's halves.
 
 With a :class:`~repro.cache.SpecializationCache` attached (``cache=``),
 repeated transformations are memoized per stage: an identical request
@@ -25,7 +25,7 @@ values reuses the lifted IR (``cache_stage == "lifted"``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.cache import MachineEntry, SpecializationCache
@@ -168,64 +168,50 @@ class BinaryTransformer:
                 continue
             lift_function(
                 self.image.memory, callee_addr, callee_sig,
-                LiftOptions(
-                    flag_cache=self.lift_options.flag_cache,
-                    facet_cache=self.lift_options.facet_cache,
-                    stack_size=self.lift_options.stack_size,
-                    name=callee_name,
-                    known_functions=known,
-                    budget=self.budget,
-                ),
+                replace(self.lift_options, name=callee_name,
+                        known_functions=known, budget=self.budget),
                 module,
             )
-        opts = LiftOptions(
-            flag_cache=self.lift_options.flag_cache,
-            facet_cache=self.lift_options.facet_cache,
-            stack_size=self.lift_options.stack_size,
-            name=name,
-            known_functions=known,
-            budget=self.budget,
-        )
+        opts = replace(self.lift_options, name=name, known_functions=known,
+                       budget=self.budget)
         lifted = lift_function(self.image.memory, entry, signature, opts, module)
         return lifted, time.perf_counter() - t0
 
-    def _optimize_module(self, module: Module, main: Function) -> O3Report:
-        """Optimize lifted callees first so the inliner sees their real
-        (small) size, then the main function."""
-        for f in module.functions.values():
-            if f is not main and not f.is_declaration:
-                run_o3(f, self.o3_options, budget=self.budget,
-                       validator=self.validator)
-        return run_o3(main, self.o3_options, budget=self.budget,
-                      validator=self.validator)
-
     # -- cache plumbing ----------------------------------------------------------
 
-    def _lifted_key(self, func: str | int,
-                    signature: FunctionSignature) -> str | None:
-        """Stage-1 key via the cache's memoized content digests."""
-        assert self.cache is not None
+    def _keys(self, func: str | int, signature: FunctionSignature,
+              fixes: dict[int, int | float | FixedMemory] | None,
+              mode: str) -> tuple[str | None, str | None, str | None]:
+        """``(lifted, module, machine)`` stage keys; all None without a
+        cache or for code of unknown extent."""
+        if self.cache is None:
+            return None, None, None
         code_digest = self.cache.code_digest(self.image, func)
         if code_digest is None:
-            return None
+            return None, None, None
         generation = self.cache.attach_image(self.image).generation
         if self._lift_digest is None or self._lift_digest[0] != generation:
             self._lift_digest = (generation, cache_keys.lift_options_digest(
                 self.lift_options, self.image))
-        return cache_keys.digest_str(
+        lkey = cache_keys.digest_str(
             "lifted", code_digest, cache_keys.signature_digest(signature),
-            self._lift_digest[1],
-        )
+            self._lift_digest[1])
+        mkey = cache_keys.module_key(
+            lkey, mode, cache_keys.fixes_digest(fixes, self.image.memory),
+            cache_keys.options_digest(self.o3_options))
+        return lkey, mkey, cache_keys.machine_key(
+            mkey, cache_keys.options_digest(self.jit_options))
 
-    def _codegen(self, main: Function, out_name: str,
-                 xkey: str | None = None) -> tuple[int, float, str | None, float]:
+    def codegen(self, main: Function, out_name: str,
+                xkey: str | None = None) -> tuple[int, float, str | None, float]:
         """Emit ``main``; with ``machine_verify`` also prove the emission.
 
-        Returns ``(addr, codegen_seconds, machine_verdict, verify_seconds)``.
-        Both compile paths flow through here, so a refuted proof can never
-        reach :meth:`SpecializationCache.put_machine` — the raise happens
-        first, and the request key is quarantined like an ``o3pass:``
-        rejection so repeat requests fail fast.
+        The pipeline's second half, after :meth:`optimize`.  Returns
+        ``(addr, codegen_seconds, machine_verdict, verify_seconds)``.  A
+        refuted proof raises before the caller can put the code in the
+        machine stage; with a machine key ``xkey`` the request is also
+        quarantined like an ``o3pass:`` rejection so repeat requests fail
+        fast.
         """
         if self.budget is not None:
             self.budget.checkpoint("codegen")  # type: ignore[attr-defined]
@@ -264,18 +250,9 @@ class BinaryTransformer:
                         fixes: dict[int, int | float | FixedMemory] | None,
                         out_name: str, mode: str) -> TransformResult:
         cache = self.cache
-        lkey = mkey = xkey = None
-        if cache is not None:
-            lkey = self._lifted_key(func, signature)
-        if lkey is not None:
+        lkey, mkey, xkey = self._keys(func, signature, fixes, mode)
+        if xkey is not None:
             assert cache is not None
-            mkey = cache_keys.module_key(
-                lkey, mode, cache_keys.fixes_digest(fixes, self.image.memory),
-                cache_keys.options_digest(self.o3_options),
-            )
-            xkey = cache_keys.machine_key(
-                mkey, cache_keys.options_digest(self.jit_options))
-
             served = self._serve_machine(xkey, out_name)
             if served is not None:
                 return self._done(served)
@@ -321,7 +298,7 @@ class BinaryTransformer:
                  fixes: dict[int, int | float | FixedMemory] | None,
                  out_name: str, mode: str, lkey: str | None,
                  mkey: str | None, xkey: str | None) -> TransformResult:
-        """The miss path: module-stage lookup, then the full pipeline."""
+        """The miss path: :meth:`_optimized`, then codegen and install."""
         cache = self.cache
         if self.machine_verify and cache is not None and xkey is not None:
             neg = cache.check_negative(f"machine:{xkey}")
@@ -329,81 +306,85 @@ class BinaryTransformer:
                 raise VerificationError(
                     f"quarantined: {neg.reason}", stage="machine-verify",
                     name=out_name, quarantined=True)
+        res = self._optimized(func, signature, fixes, out_name, mode,
+                              lkey, mkey)
+        addr, t_cg, verdict, t_mv = self.codegen(res.function, out_name, xkey)
+        if xkey is not None:
+            assert cache is not None
+            cache.put_machine(self.image, xkey, MachineEntry(
+                addr, out_name, self.image.func_sizes[out_name], res.function,
+                res.module, machine_verdict=verdict))
+            cache.note_transform(res.cache_stage)
+        return replace(res, addr=addr, codegen_seconds=t_cg, machine_key=xkey,
+                       machine_verdict=verdict, machine_verify_seconds=t_mv)
+
+    def _optimized(self, func: str | int, signature: FunctionSignature,
+                   fixes: dict[int, int | float | FixedMemory] | None,
+                   out_name: str, mode: str, lkey: str | None,
+                   mkey: str | None) -> TransformResult:
+        """The post-O3 module from the module stage, or from the lifted
+        stage (or a fresh lift) through fixation and O3; ``addr`` is 0."""
+        cache = self.cache
         if mkey is not None:
-            assert cache is not None and xkey is not None
+            assert cache is not None
             hit = cache.get_module(mkey)
             if hit is not None:
                 module, main_name = hit
-                main = module.functions[main_name]
-                addr, t_cg, verdict, t_mv = self._codegen(main, out_name, xkey)
-                cache.put_machine(self.image, xkey, MachineEntry(
-                    addr, out_name, self.image.func_sizes[out_name], main,
-                    module, machine_verdict=verdict))
-                cache.note_transform("module")
-                return TransformResult(addr, out_name, main, module,
-                                       codegen_seconds=t_cg,
-                                       cache_stage="module",
-                                       machine_key=xkey,
-                                       machine_verdict=verdict,
-                                       machine_verify_seconds=t_mv)
+                return TransformResult(0, out_name,
+                                       module.functions[main_name], module,
+                                       cache_stage="module")
 
-        module = None
-        lifted = None
-        t_lift = 0.0
-        cache_stage = None
-        if lkey is not None:
-            assert cache is not None
-            hit = cache.get_lifted(lkey)
-            if hit is not None:
-                module, lifted_name = hit
-                lifted = module.functions[lifted_name]
-                cache_stage = "lifted"
-        if module is None or lifted is None:
+        t_lift, cache_stage = 0.0, None
+        hit = None if cache is None or lkey is None else cache.get_lifted(lkey)
+        if hit is not None:
+            module, lifted_name = hit
+            lifted, cache_stage = module.functions[lifted_name], "lifted"
+        else:
             module = Module(f"tx.{out_name}")
             lifted, t_lift = self._lift(
                 func, signature, module,
                 out_name + (".orig" if mode == "fixed" else ".lifted"))
-            if lkey is not None:
-                assert cache is not None
+            if cache is not None and lkey is not None:
                 cache.put_lifted(lkey, module, lifted.name)
 
         t0 = time.perf_counter()
+        main = lifted
         if mode == "fixed":
-            span = _TR.start("fixation", {"name": out_name}) \
-                if _TR.enabled else None
-            try:
+            with _TR.span("fixation", {"name": out_name}):
                 main = build_fixation_wrapper(
                     module, lifted, fixes or {}, self.image.memory,
-                    name=out_name
-                )
-            finally:
-                if span is not None:
-                    _TR.finish(span)
-        else:
-            main = lifted
-        span = _TR.start("opt", {"name": out_name}) if _TR.enabled else None
-        try:
-            o3_report = self._optimize_module(module, main)
-        finally:
-            if span is not None:
-                _TR.finish(span)
+                    name=out_name)
+        with _TR.span("opt", {"name": out_name}):
+            # lifted callees first, so the inliner sees their real size
+            for f in module.functions.values():
+                if f is not main and not f.is_declaration:
+                    run_o3(f, self.o3_options, budget=self.budget,
+                           validator=self.validator)
+            o3_report = run_o3(main, self.o3_options, budget=self.budget,
+                               validator=self.validator)
         t_opt = time.perf_counter() - t0
         if mkey is not None:
             assert cache is not None
             cache.put_module(mkey, module, main.name)
+        return TransformResult(0, out_name, main, module, t_lift, t_opt,
+                               cache_stage=cache_stage, o3_report=o3_report)
 
-        addr, t_cg, verdict, t_mv = self._codegen(main, out_name, xkey)
-        if xkey is not None:
-            assert cache is not None
-            cache.put_machine(self.image, xkey, MachineEntry(
-                addr, out_name, self.image.func_sizes[out_name], main, module,
-                machine_verdict=verdict))
-            cache.note_transform(cache_stage)
-        return TransformResult(addr, out_name, main, module,
-                               t_lift, t_opt, t_cg, cache_stage=cache_stage,
-                               machine_key=xkey, o3_report=o3_report,
-                               machine_verdict=verdict,
-                               machine_verify_seconds=t_mv)
+    def optimize(self, func: str | int, signature: FunctionSignature,
+                 fixes: dict[int, int | float | FixedMemory] | None = None,
+                 *, name: str) -> TransformResult:
+        """The pipeline's first half: lift, fixation (with ``fixes``) and
+        O3, keyed and cached like :meth:`llvm_fixed`/:meth:`llvm_identity`.
+
+        Nothing is emitted (``addr`` is 0): ``function`` is the post-O3
+        main, the caller's own copy to rewrite before :meth:`codegen`.
+        """
+        mode = "fixed" if fixes else "identity"
+        lkey, mkey, _ = self._keys(func, signature, fixes, mode)
+        res = self._optimized(func, signature, fixes, name, mode, lkey, mkey)
+        if mkey is not None:
+            assert self.cache is not None
+            self.cache.note_transform(res.cache_stage)
+        return self._done(res)
 
     # -- evaluation modes --------------------------------------------------------
 

@@ -9,7 +9,9 @@ specialization: the :class:`~repro.guard.GuardedTransformer` ladder cut to
 its strongest applicable rung, the differential gate as admission control.
 A T1 :class:`ReproError` and a degraded T2 ladder both become the
 outcome's ``reject``: a failed T2 pins the handle rather than installing
-a rung the cheaper tiers already cover.
+a rung the cheaper tiers already cover.  An ``install(main, budget)``
+hook (the engine's instrumented T1) replaces T1's codegen of the post-O3
+``main``, which comes from the same cache stages as a plain T1's.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.cache import SpecializationCache
 from repro.cpu.image import Image
 from repro.errors import BudgetExceededError, ReproError
 from repro.guard import Budget, GateOptions, GuardedTransformer
+from repro.instrument import ProbeBuffer
 from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
 from repro.jit import BinaryTransformer, TransformResult
@@ -45,6 +48,8 @@ class TierOutcome:
     reject: str | None = None
     #: the refusal came from an exhausted budget, not from the content
     budget_starved: bool = False
+    #: the probe buffer of an instrumented T1 (the EdgeProfile source)
+    buffer: ProbeBuffer | None = None
 
 
 def tier_plan(target: int, fixes: Fixes | None,
@@ -73,6 +78,7 @@ def compile_tier(image: Image, target: int, func: str | int,
                  machine_verify: bool,
                  registry: MetricsRegistry | None = None,
                  on_result: Callable[[TransformResult], None] | None = None,
+                 install: Callable[..., TierOutcome] | None = None,
                  ) -> TierOutcome:
     """Compile ``func`` for ``target`` with a :func:`tier_plan` recipe."""
     if target == T1:
@@ -82,6 +88,9 @@ def compile_tier(image: Image, target: int, func: str | int,
             machine_verify=machine_verify)
         tx.on_result = on_result
         try:
+            if install is not None:
+                return install(tx.optimize(func, signature, fixes,
+                                           name=name).function, tx.budget)
             res = tx.llvm_fixed(func, signature, fixes, name=name) if fixes \
                 else tx.llvm_identity(func, signature, name=name)
         except ReproError as exc:

@@ -32,18 +32,22 @@ threads.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.cache import SpecializationCache
 from repro.cpu.image import Image
 from repro.errors import ReproError
 from repro.guard import Budget, DifferentialGate, GateOptions
+from repro.instrument import InstrumentOptions, Instrumenter
 from repro.ir.codegen import JITEngine, JITOptions
+from repro.ir.module import Function
 from repro.ir.passes import O3Options
 from repro.jit import TransformResult
 from repro.lift import FunctionSignature, LiftOptions
@@ -167,7 +171,7 @@ class TieredEngine:
                  farm: "Any | None" = None,
                  farm_timeout: float = 60.0,
                  profile: str = "calls",
-                 instrument_options: "Any | None" = None) -> None:
+                 instrument_options: InstrumentOptions | None = None) -> None:
         if profile not in ("calls", "edges"):
             raise ValueError(f"unknown profile source {profile!r}")
         self.image = image
@@ -200,7 +204,7 @@ class TieredEngine:
         self.farm = farm
         self.farm_timeout = farm_timeout
         #: governor hotness source: "calls" (raw invocation counts) or
-        #: "edges" — T1 compiles instrumented with edge counters
+        #: "edges" — T1 installs instrumented with edge counters
         #: (``repro.instrument``) and each handle's governor promotes on
         #: basic-block heat read from the live probe buffer
         self.profile = profile
@@ -395,17 +399,14 @@ class TieredEngine:
 
         t0 = time.perf_counter()
         out_name = f"{handle.name}.t{job.target}.e{job.epoch}.s{job.seq}"
+        install = partial(self._install_instrumented, handle, out_name) \
+            if job.target == T1 and self.profile == "edges" else None
         try:
-            if job.target == T1 and self.profile == "edges" \
-                    and not handle.fixes:
-                # instrumented modules bake this image's probe-buffer
-                # address into their IR: never shippable to the farm
-                out = self._compile_t1_instrumented(handle, out_name)
-            else:
-                o3, ladder = tier_plan(job.target, handle.fixes,
-                                       handle.mem_regions, self.t2_o3_options)
-                out = self._compile_farm(handle, job, out_name, o3, ladder) \
-                    if self.farm is not None else None
+            o3, ladder = tier_plan(job.target, handle.fixes,
+                                   handle.mem_regions, self.t2_o3_options)
+            out = self._compile_farm(handle, job, out_name, o3, ladder,
+                                     install) \
+                if self.farm is not None else None
             if out is None:
                 out = compile_tier(
                     self.image, job.target, handle.func, handle.signature,
@@ -416,8 +417,13 @@ class TieredEngine:
                     jit_options=self.jit_options,
                     gate_options=self.gate_options,
                     machine_verify=self.machine_verify,
-                    registry=self.registry, on_result=self._note_result)
-            if job.target == T1 and out.reject is None:
+                    registry=self.registry, on_result=self._note_result,
+                    install=install)
+            if out.buffer is not None:
+                # attach before the install commits: a stale discard leaves
+                # a frozen buffer, and max(calls, heat) makes that harmless
+                handle.governor.profile = EdgeProfile(out.buffer)
+            elif job.target == T1 and out.reject is None:
                 # one gate site for local and farm T1 alike: an
                 # inconclusive proof costs this install a one-off gate
                 self._t1_machine_gate(handle, out.addr, out.machine_verdict)
@@ -470,17 +476,19 @@ class TieredEngine:
 
     def _compile_farm(self, handle: DispatchHandle, job: _Job, out_name: str,
                       o3: O3Options, ladder: tuple[str, ...],
+                      install: Callable[..., TierOutcome] | None,
                       ) -> TierOutcome | None:
         """Ship one compile to the farm; None means "compile in-process".
 
         The worker runs the same :func:`compile_tier` with the same
         :func:`tier_plan` recipe (``o3``, ``ladder``) and returns a
         position-independent post-O3 module; the engine runs the (cheap)
-        code generation here, into its own image — so a farm install costs
-        the client one codegen, never a lift or an O3 pipeline.  Every farm
-        deficiency (unkeyable function, timeout, dead pool, retryable
-        result, open circuit breaker) falls back to the local tiers; only a
-        content-determined negative verdict is surfaced as a rejection.
+        code generation, or an instrumented T1's ``install``, here, into
+        its own image — so a farm install never costs the client a lift or
+        an O3 pipeline.  Every farm deficiency (unkeyable function,
+        timeout, dead pool, retryable result, open circuit breaker) falls
+        back to the local tiers; only a content-determined negative verdict
+        is surfaced as a rejection.
         """
         from repro.farm import protocol as fp
         # breaker fast-skip: while the client's circuit is open, job-key
@@ -529,50 +537,30 @@ class TieredEngine:
         if not res.ok:
             return TierOutcome(reject=res.reject_reason or "farm rejection",
                                machine_verdict=res.machine_verdict)
+        main = res.module.functions[res.main_name]
+        if install is not None:  # coalesced callers share ``res``: copy
+            return install(copy.deepcopy(main), self._job_budget().start())
         addr = JITEngine(self.image, cjob.jit).compile_function(
-            res.module.functions[res.main_name], name=out_name)
+            main, name=out_name)
         return TierOutcome(addr, res.mode, res.verified, res.machine_verdict)
 
-    def _compile_t1_instrumented(self, handle: DispatchHandle,
-                                 out_name: str) -> TierOutcome:
-        """Edge-profile T1: the cheap tier compiled with probes.
-
-        The instrumenter runs the full boundary stack — probe-ops pregate,
-        machine verification of the instrumented emission, and the
-        differential gate under the probe-buffer effects-whitelist.  A
-        handle registered without probe vectors gets a ``min_conclusive=0``
-        gate (sampled integers cannot exercise pointer parameters), which
-        matches plain T1's ungated trust level while still comparing every
-        probe that *is* conclusive.  On success the handle's governor
-        switches to the :class:`~repro.tier.EdgeProfile` source bound to
-        the fresh buffer, so promotion to T2 runs on block heat.  The job
-        budget rides in ``LiftOptions.budget``, so lift, O3 and ``pause()``
-        throttle this tier like every other.
-
-        Instrumented artifacts never enter the specialization cache: the
-        module bakes the buffer address in, so the install is unique to
-        this buffer by construction.
-        """
-        from repro.instrument import Instrumenter, InstrumentOptions
-
-        gate_opts = self.gate_options
-        if not handle.probes:
-            gate_opts = replace(gate_opts, min_conclusive=0)
-        lift_options = replace(self.lift_options or LiftOptions(),
-                               budget=self._job_budget().start())
-        inst = Instrumenter(
-            self.image, lift_options=lift_options,
-            jit_options=self.jit_options, gate_options=gate_opts,
-            machine_verify=self.machine_verify)
-        res = inst.instrument(
-            handle.func, handle.signature,
-            options=self.instrument_options or InstrumentOptions(),
-            probes=tuple(handle.probes), name=out_name)
-        # attach before the install commits: a stale-epoch discard leaves
-        # a frozen buffer behind, which is safe — the governor takes
-        # max(calls, heat), so a dead profile degrades to call counting
-        handle.governor.profile = EdgeProfile(res.buffer)
-        return TierOutcome(res.addr, "llvm+instr")
+    def _install_instrumented(self, handle: DispatchHandle, out_name: str,
+                              main: Function, budget: Budget) -> TierOutcome:
+        """Edge-profile T1: install the post-O3 T1 ``main`` with probes.
+        Without probe vectors the gate runs with ``min_conclusive=0``
+        (sampled integers cannot exercise pointer parameters)."""
+        gate = self.gate_options if handle.probes \
+            else replace(self.gate_options, min_conclusive=0)
+        res = Instrumenter(
+            self.image, lift_options=LiftOptions(budget=budget),
+            jit_options=self.jit_options, gate_options=gate,
+            machine_verify=self.machine_verify,
+        ).install(main, handle.entry, handle.signature, fixes=handle.fixes,
+                  options=self.instrument_options or InstrumentOptions(),
+                  probes=handle.probes, name=out_name)
+        mode = "llvm-fix+instr" if handle.fixes else "llvm+instr"
+        return TierOutcome(res.addr, mode, machine_verdict=res.machine_verdict,
+                           buffer=res.buffer)
 
     def _t1_machine_gate(self, handle: DispatchHandle, addr: int,
                          verdict: str | None) -> None:

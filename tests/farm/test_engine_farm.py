@@ -182,3 +182,90 @@ def test_gate_rejection_from_farm_pins_handle(farm):
         assert h.governor.pinned_max == T1
         sim.invalidate_code()
         assert sim.call(h.address(), (10, 3)).rax == expected(10, 3)
+
+
+class _KeyRecorder:
+    """A :class:`FarmClient` that records the ``(tier, key)`` of every
+    job it ships."""
+
+    def __init__(self, client) -> None:
+        self.client = client
+        self.jobs: list[tuple[int, str]] = []
+
+    def __getattr__(self, name):
+        return getattr(self.client, name)
+
+    def compile(self, job, timeout=None):
+        self.jobs.append((job.tier, job.key))
+        return self.client.compile(job, timeout=timeout)
+
+
+def test_edges_profile_ships_plain_t1_and_instruments_at_install(farm):
+    """An ``edges`` engine sends T1 to the farm as the very job a
+    ``calls`` engine sends, then injects probes into the shipped post-O3
+    module at install."""
+    from repro.tier import EdgeProfile
+
+    sig = FunctionSignature(("i", "i"), "i")
+    t1_keys = {}
+    for profile in ("edges", "calls"):
+        prog = compile_c(SRC)
+        sim = Simulator(prog.image)
+        recorder = _KeyRecorder(farm)
+        with make_engine(prog, recorder, profile=profile,
+                         policy=TierPolicy(promote_calls=(4, 10**9))) as eng:
+            h = eng.register("f", sig, probes=((10, 3), (5, 2)))
+            spin_to_tier(h, sim, T1, args=(10, 3))
+            assert eng.drain(120)
+            s = eng.stats.snapshot()
+        assert s["farm_jobs"] >= 1 and s["farm_fallbacks"] == 0, s
+        t1_keys[profile] = [k for tier, k in recorder.jobs if tier == T1]
+        if profile == "edges":
+            assert h.codes[T1].mode == "llvm+instr"
+            assert isinstance(h.governor.profile, EdgeProfile)
+            buf = h.governor.profile.buffer
+            calls = buf.call_count()
+            for a, b in ((10, 3), (7, 5)):
+                sim.invalidate_code()
+                assert sim.call(h.codes[T1].addr, (a, b)).rax == expected(a, b)
+            assert buf.call_count() == calls + 2
+    assert len(t1_keys["edges"]) == 1
+    assert t1_keys["edges"] == t1_keys["calls"]
+
+
+class _SharingClient(_KeyRecorder):
+    """Hands every caller of one job key the same result object, as the
+    client's single-flight does for concurrent callers."""
+
+    def __init__(self, client) -> None:
+        super().__init__(client)
+        self.results = {}
+
+    def compile(self, job, timeout=None):
+        if job.key not in self.results:
+            self.results[job.key] = super().compile(job, timeout=timeout)
+        return self.results[job.key]
+
+
+def test_shared_farm_result_is_instrumented_per_install(prog, farm):
+    """Two handles served one farm result object each inject their probes
+    into a private copy of its module."""
+    sim = Simulator(prog.image)
+    sharing = _SharingClient(farm)
+    sig = FunctionSignature(("i", "i"), "i")
+    with make_engine(prog, sharing, profile="edges", max_workers=1,
+                     policy=TierPolicy(promote_calls=(4, 10**9))) as eng:
+        handles = [eng.register("f", sig, name=n, probes=((10, 3),))
+                   for n in ("f.a", "f.b")]
+        for h in handles:
+            spin_to_tier(h, sim, T1, args=(10, 3))
+        assert eng.drain(120)
+        assert eng.stats.snapshot()["farm_fallbacks"] == 0
+    assert len(sharing.results) == 1
+    a, b = handles
+    assert a.codes[T1].mode == b.codes[T1].mode == "llvm+instr"
+    buf_a, buf_b = a.governor.profile.buffer, b.governor.profile.buffer
+    calls_a, calls_b = buf_a.call_count(), buf_b.call_count()
+    sim.invalidate_code()
+    assert sim.call(b.codes[T1].addr, (7, 5)).rax == expected(7, 5)
+    assert (buf_a.call_count(), buf_b.call_count()) == (calls_a, calls_b + 1)

@@ -69,16 +69,23 @@ def _leader_main(root: str, store_dir: str, started: str) -> None:
     os._exit(0)
 
 
-def _follower_main(root: str, store_dir: str) -> None:
+def _follower_main(root: str, store_dir: str, polling: str) -> None:
     store = DiskStore(store_dir)
     flights = FileFlightTable(root, poll_interval=0.01)
+    probes = 0
 
     def thunk():
         store.put("result", {"by": "follower"})
         return {"by": "follower"}
 
-    result, led = flights.run("key", thunk,
-                              lambda: store.get("result"), timeout=60.0)
+    def probe():
+        nonlocal probes
+        probes += 1
+        if probes == 2:  # only after a failed lock attempt: we are waiting
+            open(polling, "w").close()
+        return store.get("result")
+
+    result, led = flights.run("key", thunk, probe, timeout=60.0)
     assert result == {"by": "follower"} and led
     assert flights.takeovers == 1
     os._exit(0)
@@ -98,9 +105,14 @@ def test_killed_leader_follower_takes_over(mp_ctx, tmp_path):
         assert time.monotonic() < deadline, "leader never started"
         time.sleep(0.01)
 
-    follower = mp_ctx.Process(target=_follower_main, args=(root, store_dir))
+    polling = os.path.join(store_dir, "follower-polling")
+    follower = mp_ctx.Process(target=_follower_main,
+                              args=(root, store_dir, polling))
     follower.start()
-    time.sleep(0.3)  # let the follower reach its polling wait
+    deadline = time.monotonic() + 60
+    while not os.path.exists(polling):  # follower saw the lock held
+        assert time.monotonic() < deadline, "follower never started polling"
+        time.sleep(0.01)
     leader.kill()    # SIGKILL mid-compile: flock evaporates with the pid
     leader.join(timeout=10)
 

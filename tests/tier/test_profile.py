@@ -6,7 +6,9 @@ heat read from an instrumented T1's probe buffer.  The contract under test:
 * a loopy kernel promotes on *iterations*, never later than call counting
   would promote it (the profile only accelerates, it cannot starve);
 * hysteresis still prevents flapping with a profile attached;
-* the instrumented T1 is charged the same job budget as the plain one.
+* the instrumented T1 is charged the same job budget as the plain one;
+* the instrumented T1 takes the plain T1 path up to the post-O3 module:
+  fixed handles too, and through the same cache stages.
 """
 
 from __future__ import annotations
@@ -195,6 +197,88 @@ def test_tiered_engine_edges_profile_end_to_end():
         eng.drain(60.0)
     sim.invalidate_code()
     assert sim.call(h.address(), (40, 3)).rax == want
+
+
+LOOP_SRC = ("long f(long a, long b) "
+            "{ long s = 0; for (long i = 0; i < a; i++) s += i * b; return s; }")
+LOOP_SIG = FunctionSignature(("i", "i"), "i")
+
+
+def loop_expected(a, b):
+    return sum(i * b for i in range(a))
+
+
+def test_edges_profile_with_fixes_instruments_the_fixed_t1():
+    """A handle with fixes takes the same instrumented T1 path: probes go
+    into the post-O3 ``llvm-fix`` module, the profile attaches, and edge
+    heat drives the handle to T2."""
+    import time
+
+    prog = compile_c(LOOP_SRC)
+    sim = Simulator(prog.image)
+    want = loop_expected(40, 3)
+    with TieredEngine(prog.image, profile="edges",
+                      policy=TierPolicy(promote_calls=(4, 2000))) as eng:
+        h = eng.register("f", LOOP_SIG, fixes={1: 3}, probes=((40,), (7,)))
+        deadline = time.monotonic() + 120.0
+        calls = 0
+        while h.tier < T2:
+            sim.invalidate_code()
+            assert sim.call(h.address(), (40, 3)).rax == want
+            calls += 1
+            assert time.monotonic() < deadline, h.snapshot()
+            time.sleep(0.002)
+        assert h.codes[T1].mode == "llvm-fix+instr"
+        assert isinstance(h.governor.profile, EdgeProfile)
+        assert calls < 2000, "edge heat must beat the raw call budget"
+        eng.drain(60.0)
+    for tier in (T1, T2):   # both ignore the fixed parameter's argument
+        sim.invalidate_code()
+        assert sim.call(h.codes[tier].addr, (7, 99)).rax == loop_expected(7, 3)
+
+
+def _t1_handle(image, cache, profile, name):
+    with TieredEngine(image, cache=cache, profile=profile,
+                      policy=TierPolicy(promote_calls=(2, 10**9))) as eng:
+        h = eng.register("f", LOOP_SIG, name=name)
+        for _ in range(3):
+            h.address()
+        assert eng.drain(60.0)
+        assert h.tier == T1, h.snapshot()
+        return h, eng.stats.snapshot()["cache_served"]
+
+
+def test_instrumented_t1_shares_ir_stages_never_machine_code():
+    """Plain and instrumented T1 share the lifted and module stages of one
+    cache, while instrumented code never enters the machine stage."""
+    from repro.cache import SpecializationCache
+
+    prog = compile_c(LOOP_SRC)
+    sim = Simulator(prog.image)
+    cache = SpecializationCache()
+    plain, _ = _t1_handle(prog.image, cache, "calls", "f.calls")
+    edges, served = _t1_handle(prog.image, cache, "edges", "f.edges")
+    assert edges.codes[T1].mode == "llvm+instr"
+    assert served.get("module", 0) + served.get("lifted", 0) == 1, served
+    assert "machine" not in served
+    # a later plain T1 over the same cache runs probe-free code
+    later, served = _t1_handle(prog.image, cache, "calls", "f.calls2")
+    assert served == {"machine": 1}
+    assert later.codes[T1].addr == plain.codes[T1].addr
+    buf = edges.governor.profile.buffer
+    calls = buf.call_count()
+    sim.invalidate_code()
+    assert sim.call(later.codes[T1].addr, (5, 3)).rax == loop_expected(5, 3)
+    assert buf.call_count() == calls
+
+    # instrumented first: the plain T1 after it compiles from the module
+    # stage, because the machine stage holds nothing for it
+    cache = SpecializationCache()
+    _t1_handle(prog.image, cache, "edges", "g.edges")
+    plain, served = _t1_handle(prog.image, cache, "calls", "g.calls")
+    assert served == {"module": 1}
+    sim.invalidate_code()
+    assert sim.call(plain.codes[T1].addr, (5, 3)).rax == loop_expected(5, 3)
 
 
 def test_unknown_profile_source_rejected():
